@@ -97,14 +97,15 @@ func TestOptionsOnPatternStop(t *testing.T) {
 	}
 }
 
-// TestMineTopKContextCancelled covers the public top-k cancellation path.
+// TestMineTopKContextCancelled covers the public top-k cancellation path:
+// Options.Ctx under TopK.
 func TestMineTopKContextCancelled(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "AABCDABB")
 	db.AddString("S2", "ABCD")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := db.MineTopKContext(ctx, 5, true, 0)
+	res, err := db.Mine(Options{TopK: 5, Closed: true, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestMineTopKContextCancelled(t *testing.T) {
 	}
 
 	// A nil context is tolerated, matching Options.Ctx semantics.
-	resNil, err := db.MineTopKContext(nil, 2, true, 0) //nolint:staticcheck // nil ctx is the case under test
+	resNil, err := db.Mine(Options{TopK: 2, Closed: true, Ctx: nil})
 	if err != nil {
 		t.Fatal(err)
 	}

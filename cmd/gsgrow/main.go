@@ -98,7 +98,6 @@ func main() {
 	flag.IntVar(&cfg.Top, "top", 0, "print only the first N patterns (0 = all)")
 	flag.IntVar(&cfg.TopK, "topk", 0, "mine the K highest-support patterns instead of using -minsup")
 	flag.IntVar(&cfg.Workers, "workers", 1, "parallel mining fan-out")
-	flag.BoolVar(&cfg.NoFastNext, "no-fastnext", false, "use the binary-search next() index instead of O(1) successor tables")
 	flag.StringVar(&cfg.Semantics, "semantics", "repetitive", "occurrence semantics: repetitive, nonoverlap, compressed, gapped")
 	flag.IntVar(&cfg.MinGap, "mingap", 0, "minimum gap between consecutive events (-semantics gapped)")
 	flag.IntVar(&cfg.MaxGap, "maxgap", 0, "maximum gap between consecutive events (-semantics gapped)")

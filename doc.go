@@ -22,6 +22,14 @@
 //		fmt.Println(p.Events, p.Support)
 //	}
 //
+// Options is the one mining query: its fields select the threshold
+// (MinSupport) or a best-first top-k search (TopK), closed patterns
+// (Closed), the occurrence semantics and their parameters, and run-level
+// limits. Options.Validate holds every rule on a query,
+// Options.Canonical is its result-cache key and Options.Algorithm names
+// what it runs; the HTTP service and the gsgrow CLI are spellings of the
+// same value and reject exactly what Validate rejects.
+//
 // Long-running or interactive callers can bound and observe mining runs:
 // Options.Ctx cancels a run in flight (the DFS polls the context and
 // returns the patterns found so far with Result.Truncated set),
@@ -39,7 +47,7 @@
 //   - SemanticsRepetitive (the zero value): the paper's repetitive
 //     support, the maximum number of pairwise non-overlapping instances
 //     across and within sequences. The only mode with a closure theory
-//     (MineClosed) and a best-first top-k search (MineTopK*).
+//     (Options.Closed) and a best-first top-k search (Options.TopK).
 //   - SemanticsNonOverlapping: disjoint-window support — each counted
 //     occurrence's whole window must end before the next begins. Greedy
 //     earliest-end matching is provably optimal here (interval
@@ -53,9 +61,7 @@
 //   - SemanticsGapped: gap-constrained mining — Options.MinGap and
 //     Options.MaxGap bound the gap between consecutive pattern events,
 //     and per-sequence support is a max-flow computation. Sequential
-//     only, no instance collection, no closed mode. The old
-//     MineGapConstrained/GapOptions surface remains as a deprecated
-//     wrapper over this mode.
+//     only, no instance collection, no closed mode.
 //
 // Invalid combinations (closed × nonoverlap, top-k × anything
 // non-repetitive, gap bounds without SemanticsGapped, δ outside [0,1),
@@ -209,9 +215,8 @@
 // the DFS path. The paper's next(S, e, lowest) primitive is answered in
 // O(1) from per-sequence successor tables (FastNext) built lazily under
 // a memory budget; sequences whose table would not fit fall back to the
-// O(log L) binary search individually. Options.DisableFastNext selects
-// binary search for a single run (identical output, lower memory) — see
-// the README's performance-tuning section for the measured trade-offs.
+// O(log L) binary search individually — see the README's
+// performance-tuning section for the measured trade-offs.
 //
 // # Parallel mining
 //
@@ -224,7 +229,7 @@
 // sequential emission sequence from keyed blocks, which makes the
 // result — patterns, supports, order, and the first-MaxPatterns prefix
 // under a budget — identical to the sequential run for every worker
-// count and steal timing. TopKOptions.Workers parallelizes the
+// count and steal timing. Workers under Options.TopK parallelizes the
 // best-first top-k search the same way: sharded frontiers coordinated
 // through the current k-th best support, byte-identical results.
 //

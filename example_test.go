@@ -66,12 +66,13 @@ func ExampleDatabase_PerSequenceSupport() {
 	// [5 1]
 }
 
-// Gap-constrained mining bounds the events allowed between consecutive
-// pattern events; with MaxGap 0 it mines repeating substrings.
-func ExampleDatabase_MineGapConstrained() {
+// Gap-constrained mining (SemanticsGapped) bounds the events allowed
+// between consecutive pattern events; with MaxGap 0 it mines repeating
+// substrings.
+func ExampleDatabase_Mine_gapped() {
 	db := repro.NewDatabase()
 	db.AddString("read", "ACGTACGTACGT")
-	res, err := db.MineGapConstrained(repro.GapOptions{MinSupport: 3, MaxGap: 0, MaxPatternLength: 2})
+	res, err := db.Mine(repro.Options{Semantics: repro.SemanticsGapped, MinSupport: 3, MaxGap: 0, MaxPatternLength: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -1,64 +1,14 @@
 package repro
 
-import (
-	"repro/internal/gapped"
-	"repro/internal/seq"
-)
-
-// GapOptions configures gap-constrained mining via the deprecated
-// MineGapConstrained entry point.
-//
-// Deprecated: gap constraints are options on the unified mining surface —
-// set Options.Semantics to SemanticsGapped and use Options.MinGap/MaxGap
-// with Mine. This type remains for compatibility.
-type GapOptions struct {
-	// MinSupport is the support threshold (>= 1).
-	MinSupport int
-	// MinGap and MaxGap bound the number of events strictly between
-	// consecutive pattern events (0 <= MinGap <= MaxGap). MaxGap = 0 with
-	// MinGap = 0 mines contiguous substrings.
-	MinGap, MaxGap int
-	// MaxPatternLength bounds pattern length; 0 = unbounded.
-	MaxPatternLength int
-	// MaxPatterns stops the run early; 0 = unbounded.
-	MaxPatterns int
-}
-
-// MineGapConstrained returns every pattern whose gap-constrained
-// repetitive support (maximum number of non-overlapping instances whose
-// consecutive gaps all lie in [MinGap, MaxGap]) reaches opt.MinSupport.
-//
-// Gap-constrained support is NOT monotone under arbitrary sub-patterns
-// (deleting a middle event merges two gaps), so unlike Mine/MineClosed the
-// result set is not closed under sub-patterns; it is closed under
-// prefixes.
-//
-// Deprecated: Use Mine with Options.Semantics set to SemanticsGapped,
-// which accepts the same gap bounds plus the rest of the unified option
-// surface (Ctx, OnPattern, DiscardPatterns). This wrapper forwards there
-// and returns identical patterns.
-func (d *Database) MineGapConstrained(opt GapOptions) (*Result, error) {
-	return d.Mine(Options{
-		Semantics:        SemanticsGapped,
-		MinSupport:       opt.MinSupport,
-		MinGap:           opt.MinGap,
-		MaxGap:           opt.MaxGap,
-		MaxPatternLength: opt.MaxPatternLength,
-		MaxPatterns:      opt.MaxPatterns,
-	})
-}
+import "repro/internal/gapped"
 
 // SupportWithGaps computes the gap-constrained repetitive support of one
 // pattern. Unknown event names yield support 0.
 func (d *Database) SupportWithGaps(pattern []string, minGap, maxGap int) (int, error) {
 	db := d.Snapshot().s.DB()
-	ids := make([]seq.EventID, len(pattern))
-	for i, n := range pattern {
-		id := db.Dict.Lookup(n)
-		if id == seq.NoEvent {
-			return 0, nil
-		}
-		ids[i] = id
+	ids, err := db.EventSeq(pattern)
+	if err != nil {
+		return 0, nil // an unknown event never occurs
 	}
 	return gapped.Support(db, ids, minGap, maxGap)
 }

@@ -8,7 +8,7 @@ import (
 func TestPublicGapConstrainedMine(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "ABCABCABC")
-	res, err := db.MineGapConstrained(GapOptions{MinSupport: 3, MaxGap: 0})
+	res, err := db.Mine(Options{Semantics: SemanticsGapped, MinSupport: 3, MaxGap: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPublicGapConstrainedSupport(t *testing.T) {
 func TestPublicGapConstrainedValidation(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("", "AB")
-	if _, err := db.MineGapConstrained(GapOptions{MinSupport: 0, MaxGap: 1}); err == nil {
+	if _, err := db.Mine(Options{Semantics: SemanticsGapped, MinSupport: 0, MaxGap: 1}); err == nil {
 		t.Error("MinSupport=0 accepted")
 	}
 	if _, err := db.SupportWithGaps([]string{"A"}, 2, 1); err == nil {
@@ -65,7 +65,7 @@ func TestPublicGapConstrainedDNA(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("read1", "ACGTACGTACGT")
 	db.AddString("read2", "ACGGACGG")
-	res, err := db.MineGapConstrained(GapOptions{MinSupport: 5, MaxGap: 1, MaxPatternLength: 3})
+	res, err := db.Mine(Options{Semantics: SemanticsGapped, MinSupport: 5, MaxGap: 1, MaxPatternLength: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 package cli
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -13,7 +13,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/gapped"
 	"repro/internal/postprocess"
 	"repro/internal/seq"
 )
@@ -46,7 +45,6 @@ type MineConfig struct {
 	Top         int     // print only the first N patterns, 0 = all
 	TopK        int     // mine the K highest-support patterns instead of using MinSup
 	Workers     int     // parallel mining fan-out, <= 1 sequential
-	NoFastNext  bool    // use the binary-search next() index (paper's O(log L) formulation)
 
 	Semantics     string  // occurrence semantics: repetitive, nonoverlap, compressed, gapped
 	MinGap        int     // gapped semantics: minimum gap between consecutive events
@@ -54,102 +52,56 @@ type MineConfig struct {
 	CompressDelta float64 // compressed semantics: cover tolerance delta, 0 = default
 }
 
-// coreSemantics maps the public semantics enum to the kernel strategy;
-// repetitive maps to nil so the default hot path stays strategy-free.
-func coreSemantics(s repro.Semantics) core.Semantics {
-	switch s {
-	case repro.SemanticsNonOverlapping:
-		return core.NonOverlapping
-	case repro.SemanticsCompressed:
-		return core.Compressed
-	default:
-		return nil
-	}
-}
-
 // Mine reads a database from in and writes mining output to out.
 func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
-	f, err := ParseFormat(cfg.Format)
+	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
+	}
+	if cfg.Stats {
+		db, err := parse(cfg.Format, data)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(out, seq.ComputeStats(db).Table())
+		return err
+	}
+	format, err := repro.ParseFormat(cfg.Format)
+	if err != nil {
+		return err
+	}
+	db, err := repro.Load(bytes.NewReader(data), format)
+	if err != nil {
+		return err
+	}
+	snap := db.Snapshot()
+	if cfg.Support != "" {
+		reportSupport(cfg, snap, out)
+		return nil
 	}
 	sem, err := repro.ParseSemantics(cfg.Semantics)
 	if err != nil {
 		return err
 	}
-	if (cfg.MinGap != 0 || cfg.MaxGap != 0) && sem != repro.SemanticsGapped {
-		return fmt.Errorf("-mingap/-maxgap require -semantics gapped")
-	}
-	if cfg.CompressDelta != 0 && sem != repro.SemanticsCompressed {
-		return fmt.Errorf("-compress-delta requires -semantics compressed")
-	}
-	if cfg.TopK > 0 && sem != repro.SemanticsRepetitive {
-		return fmt.Errorf("-topk supports only repetitive semantics")
-	}
-	if cfg.Closed && (sem == repro.SemanticsNonOverlapping || sem == repro.SemanticsGapped) {
-		return fmt.Errorf("-closed is not supported with %s semantics", sem)
-	}
-	if sem == repro.SemanticsGapped {
-		if cfg.Instances {
-			return fmt.Errorf("-instances is not supported with gapped semantics")
-		}
-		if cfg.Workers > 1 {
-			return fmt.Errorf("-workers > 1 is not supported with gapped semantics")
-		}
-	}
-	db, err := seq.Parse(in, f)
-	if err != nil {
-		return err
-	}
-	if cfg.Stats {
-		_, err := io.WriteString(out, seq.ComputeStats(db).Table())
-		return err
-	}
-	ix := seq.NewIndexWith(db, seq.IndexOptions{FastNext: !cfg.NoFastNext})
-
-	if cfg.Support != "" {
-		return reportSupport(cfg, db, ix, out)
-	}
-
-	var res *core.Result
-	var err2 error
-	algo := "GSgrow"
-	opt := core.Options{
+	opt := repro.Options{
 		MinSupport:       cfg.MinSup,
 		Closed:           cfg.Closed,
+		TopK:             cfg.TopK,
 		MaxPatternLength: cfg.MaxLen,
 		MaxPatterns:      cfg.MaxPatterns,
 		CollectInstances: cfg.Instances,
-		Semantics:        coreSemantics(sem),
+		Workers:          cfg.Workers,
+		Semantics:        sem,
+		MinGap:           cfg.MinGap,
+		MaxGap:           cfg.MaxGap,
 		CompressDelta:    cfg.CompressDelta,
 	}
-	switch {
-	case sem == repro.SemanticsGapped:
-		res, err2 = mineGapped(cfg, db)
-		algo = "GapGSgrow"
-	case cfg.TopK > 0:
-		res, err2 = core.MineTopKParallel(context.Background(), ix, cfg.TopK, cfg.Closed, cfg.MaxLen, cfg.Workers)
-		algo = "TopK"
-	case cfg.Workers > 1:
-		res, err2 = core.MineParallel(ix, opt, cfg.Workers)
-	default:
-		res, err2 = core.Mine(ix, opt)
+	res, err := snap.Mine(opt)
+	if err != nil {
+		return err
 	}
-	if err2 != nil {
-		return err2
-	}
-	switch sem {
-	case repro.SemanticsNonOverlapping:
-		algo = "GSgrow-NonOverlap"
-	case repro.SemanticsCompressed:
-		algo = "CRGSgrow"
-	default:
-		if cfg.Closed {
-			algo = "Clo" + algo
-		}
-	}
-	fmt.Fprintf(out, "# %s min_sup=%d: %d patterns in %v", algo, cfg.MinSup, res.NumPatterns, res.Stats.Duration)
-	if res.Stats.Truncated {
+	fmt.Fprintf(out, "# %s min_sup=%d: %d patterns in %v", opt.Algorithm(), cfg.MinSup, res.NumPatterns, res.Elapsed)
+	if res.Truncated {
 		fmt.Fprint(out, " (truncated)")
 	}
 	fmt.Fprintln(out)
@@ -158,12 +110,14 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 		// high-water frontier size and the node-arena bytes behind it,
 		// plus the requested→effective worker clamp.
 		fmt.Fprintf(out, "# topk frontier: peak=%d nodes, arena=%d bytes, workers=%d/%d (effective/requested)\n",
-			res.Stats.FrontierPeak, res.Stats.ArenaBytes, res.Stats.WorkersEffective, res.Stats.WorkersRequested)
+			res.TopKFrontierPeak, res.TopKArenaBytes, res.WorkersEffective, res.WorkersRequested)
 	}
 
 	patterns := res.Patterns
 	if cfg.Density > 0 {
-		patterns = postprocess.CaseStudyPipeline(patterns, cfg.Density)
+		if patterns, err = caseStudy(cfg, data, patterns); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "# post-processing (density>%.2f, maximal, ranked): %d patterns\n", cfg.Density, len(patterns))
 	} else {
 		sort.SliceStable(patterns, func(a, b int) bool {
@@ -177,53 +131,61 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 		patterns = patterns[:cfg.Top]
 	}
 	for _, p := range patterns {
-		fmt.Fprintf(out, "%d\t%s\n", p.Support, db.PatternString(p.Events))
-		if cfg.Instances {
-			for _, ins := range p.Instances {
-				fmt.Fprintf(out, "\t%s %v\n", db.Label(int(ins.Seq)), ins.Land)
-			}
+		fmt.Fprintf(out, "%d\t%s\n", p.Support, seq.JoinNames(p.Events))
+		for _, ins := range p.Instances {
+			fmt.Fprintf(out, "\t%s %v\n", ins.Sequence, ins.Positions)
 		}
 	}
 	return nil
 }
 
-// mineGapped routes a gapped-semantics run to the gap-constrained miner
-// and adapts its result to the shared printing path.
-func mineGapped(cfg MineConfig, db *seq.DB) (*core.Result, error) {
-	gres, err := gapped.Mine(db, gapped.Options{
-		MinSupport:       cfg.MinSup,
-		MinGap:           cfg.MinGap,
-		MaxGap:           cfg.MaxGap,
-		MaxPatternLength: cfg.MaxLen,
-		MaxPatterns:      cfg.MaxPatterns,
-	})
+func parse(format string, data []byte) (*seq.DB, error) {
+	f, err := ParseFormat(format)
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{Patterns: make([]core.Pattern, len(gres.Patterns))}
-	for i, p := range gres.Patterns {
-		res.Patterns[i] = core.Pattern{Events: p.Events, Support: p.Support}
-	}
-	res.NumPatterns = len(res.Patterns)
-	res.Stats.Truncated = gres.Truncated
-	res.Stats.Duration = gres.Duration
-	return res, nil
+	return seq.Parse(bytes.NewReader(data), f)
 }
 
-func reportSupport(cfg MineConfig, db *seq.DB, ix *seq.Index, out io.Writer) error {
+// caseStudy applies the paper's case-study pipeline to the mined patterns.
+// The pipeline breaks ranking ties in event-ID order, so the patterns are
+// mapped onto a seq.DB parsed from the same input, which assigns event IDs
+// exactly as the miner's own parse did.
+func caseStudy(cfg MineConfig, data []byte, patterns []repro.Pattern) ([]repro.Pattern, error) {
+	db, err := parse(cfg.Format, data)
+	if err != nil {
+		return nil, err
+	}
+	byKey := make(map[string]repro.Pattern, len(patterns))
+	ids := make([]core.Pattern, len(patterns))
+	for i, p := range patterns {
+		if ids[i].Events, err = db.EventSeq(p.Events); err != nil {
+			return nil, err
+		}
+		ids[i].Support = p.Support
+		byKey[strings.Join(p.Events, "\x00")] = p
+	}
+	kept := postprocess.CaseStudyPipeline(ids, cfg.Density)
+	out := make([]repro.Pattern, len(kept))
+	for i, p := range kept {
+		names := make([]string, len(p.Events))
+		for j, e := range p.Events {
+			names[j] = db.Dict.Name(e)
+		}
+		out[i] = byKey[strings.Join(names, "\x00")]
+	}
+	return out, nil
+}
+
+func reportSupport(cfg MineConfig, snap *repro.Snapshot, out io.Writer) {
 	names := strings.Split(cfg.Support, ",")
-	sup := core.SupportOfNames(ix, names)
+	sup := snap.Support(names)
 	fmt.Fprintf(out, "sup(%s) = %d\n", strings.Join(names, " "), sup)
 	if cfg.Instances && sup > 0 {
-		ids, err := db.EventSeq(names)
-		if err != nil {
-			return err
-		}
-		for _, ins := range core.ComputeSupportSet(ix, ids) {
-			fmt.Fprintf(out, "  %s %v\n", db.Label(int(ins.Seq)), ins.Land)
+		for _, ins := range snap.SupportSet(names) {
+			fmt.Fprintf(out, "  %s %v\n", ins.Sequence, ins.Positions)
 		}
 	}
-	return nil
 }
 
 // GenerateConfig mirrors cmd/datagen's flags.

@@ -145,6 +145,13 @@ func TestMineBadInput(t *testing.T) {
 	if err := Mine(MineConfig{Format: "chars", MinSup: 0}, strings.NewReader(table3), &strings.Builder{}); err == nil {
 		t.Error("minSup=0 accepted")
 	}
+	// -topk has no support sets, and k already bounds the result.
+	if err := Mine(MineConfig{Format: "chars", TopK: 3, Instances: true}, strings.NewReader(table3), &strings.Builder{}); err == nil {
+		t.Error("-topk with -instances accepted")
+	}
+	if err := Mine(MineConfig{Format: "chars", TopK: 3, MaxPatterns: 5}, strings.NewReader(table3), &strings.Builder{}); err == nil {
+		t.Error("-topk with -maxpatterns accepted")
+	}
 }
 
 func TestGenerateQuestRoundtrip(t *testing.T) {

@@ -142,9 +142,9 @@ func TestMineTopKCtxCancelled(t *testing.T) {
 	ix := seq.NewIndex(denseDB())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MineTopKCtx(ctx, ix, 1000, false, 0)
+	res, err := MineTopKParallel(ctx, ix, 1000, false, 0, 1)
 	if err != nil {
-		t.Fatalf("MineTopKCtx: %v", err)
+		t.Fatalf("MineTopKParallel: %v", err)
 	}
 	if !res.Stats.Truncated {
 		t.Error("pre-cancelled top-k run not marked Truncated")
@@ -153,11 +153,11 @@ func TestMineTopKCtxCancelled(t *testing.T) {
 		t.Errorf("pre-cancelled top-k emitted %d patterns", res.NumPatterns)
 	}
 	// An un-cancelled run still works and is unaffected by the ctx path.
-	full, err := MineTopK(ix, 10, false, 0)
+	full, err := MineTopKParallel(context.Background(), ix, 10, false, 0, 1)
 	if err != nil {
-		t.Fatalf("MineTopK: %v", err)
+		t.Fatalf("MineTopKParallel: %v", err)
 	}
 	if full.NumPatterns != 10 || full.Stats.Truncated {
-		t.Errorf("MineTopK(10): patterns=%d truncated=%t", full.NumPatterns, full.Stats.Truncated)
+		t.Errorf("top-10: patterns=%d truncated=%t", full.NumPatterns, full.Stats.Truncated)
 	}
 }

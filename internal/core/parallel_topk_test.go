@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -164,7 +165,7 @@ func TestPropertyTopKMatchesFullMine(t *testing.T) {
 		const maxLen = 4
 		k := 1 + r.Intn(8)
 		for _, closed := range []bool{false, true} {
-			top, err := core.MineTopK(ix, k, closed, maxLen)
+			top, err := core.MineTopKParallel(context.Background(), ix, k, closed, maxLen, 1)
 			if err != nil {
 				return false
 			}
@@ -221,7 +222,7 @@ func TestTopKRunningExample(t *testing.T) {
 	db.AddChars("S1", "ABCACBDDB")
 	db.AddChars("S2", "ACDBACADD")
 	ix := seq.NewIndex(db)
-	top, err := core.MineTopK(ix, 2, false, 0)
+	top, err := core.MineTopKParallel(context.Background(), ix, 2, false, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestTopKRunningExample(t *testing.T) {
 	if db.PatternString(top.Patterns[1].Events) != "AD" || top.Patterns[1].Support != 5 {
 		t.Errorf("second = %s/%d", db.PatternString(top.Patterns[1].Events), top.Patterns[1].Support)
 	}
-	if _, err := core.MineTopK(ix, 0, false, 0); err == nil {
+	if _, err := core.MineTopKParallel(context.Background(), ix, 0, false, 0, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -246,7 +247,7 @@ func TestTopKClosedRunningExample(t *testing.T) {
 	db.AddChars("S1", "ABCACBDDB")
 	db.AddChars("S2", "ACDBACADD")
 	ix := seq.NewIndex(db)
-	top, err := core.MineTopK(ix, 3, true, 0)
+	top, err := core.MineTopKParallel(context.Background(), ix, 3, true, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

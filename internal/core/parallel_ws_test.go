@@ -5,6 +5,7 @@ package core_test
 // parallel-vs-sequential parity sweeps live in fastpath_test.go.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -166,7 +167,7 @@ func TestParallelBudgetCountingOnly(t *testing.T) {
 }
 
 // TestParallelTopKByteIdentical: the sharded best-first search returns
-// byte-identical results to the sequential MineTopK for k in {1, 10, 100}
+// byte-identical results to the single-worker search for k in {1, 10, 100}
 // on every fixture, both miners, any worker count.
 func TestParallelTopKByteIdentical(t *testing.T) {
 	for name, db := range parityDBs(t) {
@@ -175,7 +176,7 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 			for _, closed := range []bool{false, true} {
 				for _, maxLen := range []int{0, 3} {
 					for _, k := range []int{1, 10, 100} {
-						ref, err := core.MineTopK(ix, k, closed, maxLen)
+						ref, err := core.MineTopKParallel(context.Background(), ix, k, closed, maxLen, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -209,7 +210,7 @@ func TestParallelTopKRandomized(t *testing.T) {
 		ix := seq.NewIndex(db)
 		k := 1 + r.Intn(12)
 		closed := trial%2 == 0
-		ref, err := core.MineTopK(ix, k, closed, 4)
+		ref, err := core.MineTopKParallel(context.Background(), ix, k, closed, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,56 +12,6 @@ import (
 	"repro/internal/seq"
 )
 
-// MineTopK returns the k highest-support (closed) patterns without a
-// support threshold, by best-first search over the pattern-growth tree:
-// since support never increases along a growth edge (Apriori), popping
-// nodes in descending support order emits patterns in non-increasing
-// support order, so the first k (closed) pops are a valid top-k set. Ties
-// are broken lexicographically for determinism. maxLen (0 = unbounded)
-// bounds pattern length.
-//
-// Intended for exploratory use: without a threshold, the frontier can grow
-// large on dense data; the k-th emitted support effectively becomes the
-// threshold, so small k on heavy-tailed data is cheap.
-//
-// The frontier is arena-backed: nodes live in blocks carved from a
-// per-search allocator and store only (parent, last event, support), so a
-// frontier entry costs tens of bytes instead of a pattern copy plus an
-// instance-set copy. A node's support set is re-grown from the index when
-// the node is popped (closed mode re-grows the prefix chain anyway for the
-// closure check, so the expansion rides on it for free), and popped or
-// pruned nodes return to a free list once their last child is gone.
-func MineTopK(v IndexView, k int, closed bool, maxLen int) (*Result, error) {
-	return MineTopKCtx(context.Background(), v, k, closed, maxLen)
-}
-
-// MineTopKCtx is MineTopK with cancellation: when ctx is done, the search
-// stops and the patterns emitted so far come back with Stats.Truncated set
-// (they are still the true top patterns — best-first order guarantees
-// every emitted pattern outranks everything unexplored).
-func MineTopKCtx(ctx context.Context, v IndexView, k int, closed bool, maxLen int) (*Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	ix := v.MiningIndex()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	m := newMiner(ix, Options{MinSupport: 1, Closed: closed})
-	f := &topkFrontier{}
-	if ctxDone(ctx) {
-		// Pre-cancelled: report a truncated empty result without popping.
-		m.res.Stats.Truncated = true
-	} else {
-		runTopKSearch(ctx, m, f, ix.FrequentEvents(1), k, closed, maxLen)
-	}
-	m.res.Stats.WorkersRequested = 1
-	m.res.Stats.WorkersEffective = 1
-	m.res.Stats.Duration = time.Since(start)
-	return m.res, nil
-}
-
 // runTopKSearch seeds the frontier with the size-1 patterns and pops
 // best-first until k patterns were emitted (into m.res) or the frontier is
 // exhausted. The miner and frontier are reusable: a warm repeat run with
@@ -186,47 +136,59 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 	return emit
 }
 
-// MineTopKParallel is MineTopKCtx fanned out over `workers` goroutines
-// (clamped to GOMAXPROCS — output is byte-identical at any worker count,
-// so oversubscription would only add scheduling overhead). The frontier is
-// sharded: every worker owns a private arena-backed best-first heap seeded
-// with a round-robin share of the size-1 patterns (heaviest first) and
-// expands it independently — no locks on the expansion path. The workers
-// coordinate through a shared bound holding the k best candidate patterns
-// found so far, with the k-th best support readable atomically: because
-// support never increases along a growth edge and appending events only
-// moves a pattern lexicographically later, a frontier node that ranks
-// after the current k-th best candidate can be discarded together with its
-// whole subtree — and since each shard's heap pops best-first, the first
-// prunable pop empties that worker's entire frontier. The same bound
-// pre-prunes children at push time, before their instance sets are grown.
-// The final merge sorts the surviving candidates by (support desc, pattern
-// lex asc) — the sequential pop order — so the result is byte-identical to
-// MineTopK's for any worker count and any steal/schedule timing.
+// MineTopKParallel returns the k highest-support (closed) patterns without
+// a support threshold, by best-first search over the pattern-growth tree:
+// since support never increases along a growth edge (Apriori), popping
+// nodes in descending support order emits patterns in non-increasing
+// support order, so the first k (closed) pops are a valid top-k set. Ties
+// are broken lexicographically for determinism. maxLen (0 = unbounded)
+// bounds pattern length.
 //
-// The search typically visits somewhat more nodes than the sequential run
-// (each shard explores until the shared bound proves its frontier dead,
-// where the sequential search stops at the k-th emission), in exchange for
-// expanding the deep, expensive subtrees concurrently.
+// Intended for exploratory use: without a threshold, the frontier can grow
+// large on dense data; the k-th emitted support effectively becomes the
+// threshold, so small k on heavy-tailed data is cheap.
 //
-// A cancelled run returns the best candidates found so far with
+// The frontier is arena-backed: nodes live in blocks carved from a
+// per-search allocator and store only (parent, last event, support), so a
+// frontier entry costs tens of bytes instead of a pattern copy plus an
+// instance-set copy. A node's support set is re-grown from the index when
+// the node is popped (closed mode re-grows the prefix chain anyway for the
+// closure check, so the expansion rides on it for free), and popped or
+// pruned nodes return to a free list once their last child is gone.
+//
+// workers <= 1 (or a GOMAXPROCS clamp down to 1) runs that search on one
+// goroutine. When ctx is done, it stops and the patterns emitted so far
+// come back with Stats.Truncated set; they are still the true top
+// patterns, since best-first order guarantees every emitted pattern
+// outranks everything unexplored.
+//
+// More workers (clamped to GOMAXPROCS — output is byte-identical at any
+// worker count, so oversubscription would only add scheduling overhead)
+// shard the frontier: every worker owns a private arena-backed best-first
+// heap seeded with a round-robin share of the size-1 patterns (heaviest
+// first) and expands it independently — no locks on the expansion path.
+// The workers coordinate through a shared bound holding the k best
+// candidate patterns found so far, with the k-th best support readable
+// atomically: because support never increases along a growth edge and
+// appending events only moves a pattern lexicographically later, a
+// frontier node that ranks after the current k-th best candidate can be
+// discarded together with its whole subtree — and since each shard's heap
+// pops best-first, the first prunable pop empties that worker's entire
+// frontier. The same bound pre-prunes children at push time, before their
+// instance sets are grown. The final merge sorts the surviving candidates
+// by (support desc, pattern lex asc) — the sequential pop order — so the
+// result is byte-identical to the single-worker search for any worker
+// count and any steal/schedule timing.
+//
+// The sharded search typically visits somewhat more nodes than the
+// sequential run (each shard explores until the shared bound proves its
+// frontier dead, where the sequential search stops at the k-th emission),
+// in exchange for expanding the deep, expensive subtrees concurrently. A
+// cancelled sharded run returns the best candidates found so far with
 // Stats.Truncated set; unlike the sequential search, those are not
 // guaranteed to be the true top-k (an unexplored shard may still have held
 // better patterns).
 func MineTopKParallel(ctx context.Context, v IndexView, k int, closed bool, maxLen, workers int) (*Result, error) {
-	requested := workers
-	if requested < 1 {
-		requested = 1
-	}
-	workers = effectiveWorkers(workers)
-	if workers <= 1 {
-		res, err := MineTopKCtx(ctx, v, k, closed, maxLen)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.WorkersRequested = requested
-		return res, nil
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
@@ -235,6 +197,21 @@ func MineTopKParallel(ctx context.Context, v IndexView, k int, closed bool, maxL
 		ctx = context.Background()
 	}
 	start := time.Now()
+	requested := max(workers, 1)
+	workers = effectiveWorkers(workers)
+	if workers <= 1 {
+		m := newMiner(ix, Options{MinSupport: 1, Closed: closed})
+		if ctxDone(ctx) {
+			// Pre-cancelled: report a truncated empty result without popping.
+			m.res.Stats.Truncated = true
+		} else {
+			runTopKSearch(ctx, m, &topkFrontier{}, ix.FrequentEvents(1), k, closed, maxLen)
+		}
+		m.res.Stats.WorkersRequested = requested
+		m.res.Stats.WorkersEffective = 1
+		m.res.Stats.Duration = time.Since(start)
+		return m.res, nil
+	}
 	merged := &Result{}
 	merged.Stats.WorkersRequested = requested
 	merged.Stats.WorkersEffective = workers

@@ -209,18 +209,23 @@ func (db *DB) EventSeq(names []string) ([]EventID, error) {
 // whose names are single characters are concatenated ("ACB"); otherwise they
 // are joined with spaces.
 func (db *DB) PatternString(p []EventID) string {
-	allSingle := true
 	names := make([]string, len(p))
 	for i, e := range p {
 		names[i] = db.Dict.Name(e)
-		if len(names[i]) != 1 {
-			allSingle = false
+	}
+	return JoinNames(names)
+}
+
+// JoinNames renders a pattern given as event names the way PatternString
+// does: concatenated when every name is a single character, otherwise
+// space-separated.
+func JoinNames(names []string) string {
+	for _, n := range names {
+		if len(n) != 1 {
+			return strings.Join(names, " ")
 		}
 	}
-	if allSingle {
-		return strings.Join(names, "")
-	}
-	return strings.Join(names, " ")
+	return strings.Join(names, "")
 }
 
 // Validate checks internal consistency: every event ID in every sequence

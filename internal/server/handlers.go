@@ -138,7 +138,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fname := r.URL.Query().Get("format")
-	format, err := parseFormat(fname)
+	format, err := repro.ParseFormat(fname)
 	if err != nil {
 		writeErrorFor(w, err)
 		return
@@ -405,7 +405,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	if err := q.validate(); err != nil {
+	opt, err := q.options()
+	if err != nil {
 		writeErrorFor(w, err)
 		return
 	}
@@ -415,10 +416,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// key included — is against this one immutable generation, so appends
 	// landing mid-mine neither disturb the run nor poison the cache.
 	snap := e.db.Snapshot()
-	key := q.cacheKey(e.name, e.generation, snap.Generation())
+	key := cacheKey(e.name, e.generation, snap.Generation(), opt)
 	if out, ok := s.cache.get(key); ok {
 		if stream {
-			s.streamOutcome(w, e, out, true)
+			streamOutcome(w, e, out)
 		} else {
 			writeJSON(w, http.StatusOK, buildResponse(e, out, true))
 		}
@@ -450,77 +451,54 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
+	// A stream writes each pattern the moment the miner finds it; the
+	// complete result still accumulates in memory so it can be cached for
+	// replay.
+	opt.Ctx = ctx
+	var nw *ndjsonWriter
 	if stream {
-		s.mineStreaming(ctx, w, e, snap, &q, key)
-		return
+		nw = newNDJSONWriter(w, true)
+		opt.OnPattern = nw.pattern
 	}
-	out, err := s.runMine(ctx, snap, &q, nil)
+	res, err := snap.Mine(opt)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
-		writeErrorFor(w, err)
-		return
-	}
-	if ctx.Err() != nil {
-		// The run was aborted via ctx. On a deadline the client is still
-		// listening — tell it the budget ran out; otherwise usually the
-		// client disconnected and this write goes nowhere, but on server
-		// shutdown it may still be listening — tell it the result is not
-		// coming rather than sending an empty 200.
-		setRetryHint(w, http.StatusServiceUnavailable)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, "mine timed out after %v", s.mineTimeout)
-			return
+		// Before the first NDJSON line the failure can still be a clean
+		// error status; mid-stream the client sees a truncated stream (no
+		// summary line), which is the NDJSON protocol's abort signal.
+		if nw == nil || nw.lines == 0 {
+			s.writeMineError(w, err)
 		}
-		writeError(w, http.StatusServiceUnavailable, "mine aborted: %v", ctx.Err())
 		return
 	}
+	out := &mineOutcome{algorithm: opt.Algorithm(), semantics: opt.Semantics.String(), generation: snap.Generation(), workers: max(opt.Workers, 1), result: res}
 	s.maybeCache(key, out)
+	if nw != nil {
+		nw.summary(buildSummary(e, out, false))
+		return
+	}
 	writeJSON(w, http.StatusOK, buildResponse(e, out, false))
 }
 
-// runMine executes the mining request against one pinned snapshot,
-// honoring ctx. The optional onPattern callback streams patterns as they
-// are found (ignored in top-k mode, which emits so few patterns that
-// replay after completion is equivalent).
-func (s *Server) runMine(ctx context.Context, snap *repro.Snapshot, q *mineRequest, onPattern func(repro.Pattern) bool) (*mineOutcome, error) {
-	var res *repro.Result
-	var err error
-	if q.TopK > 0 {
-		res, err = snap.MineTopKWith(q.TopK, q.Closed, repro.TopKOptions{
-			Ctx:              ctx,
-			MaxPatternLength: q.MaxPatternLength,
-			Workers:          q.Workers,
-			DisableFastNext:  q.DisableFastNext,
-			Semantics:        q.sem,
-		})
-	} else {
-		opt := repro.Options{
-			MinSupport:       q.MinSupport,
-			MaxPatternLength: q.MaxPatternLength,
-			MaxPatterns:      q.MaxPatterns,
-			CollectInstances: q.Instances,
-			Workers:          q.Workers,
-			Ctx:              ctx,
-			OnPattern:        onPattern,
-			DisableFastNext:  q.DisableFastNext,
-			Semantics:        q.sem,
-			MinGap:           q.MinGap,
-			MaxGap:           q.MaxGap,
-			CompressDelta:    q.CompressDelta,
-		}
-		if q.Closed {
-			res, err = snap.MineClosed(opt)
-		} else {
-			res, err = snap.Mine(opt)
-		}
+// writeMineError answers a run that failed or was aborted through its
+// context. On a deadline the client is still listening — tell it the
+// budget ran out. On any other abort the client usually disconnected and
+// the write goes nowhere, but on server shutdown it may still be
+// listening — tell it the result is not coming rather than sending an
+// empty 200.
+func (s *Server) writeMineError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		setRetryHint(w, http.StatusServiceUnavailable)
+		writeError(w, http.StatusServiceUnavailable, "mine timed out after %v", s.mineTimeout)
+	case errors.Is(err, context.Canceled):
+		setRetryHint(w, http.StatusServiceUnavailable)
+		writeError(w, http.StatusServiceUnavailable, "mine aborted: %v", err)
+	default:
+		writeErrorFor(w, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	workers := q.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return &mineOutcome{algorithm: q.algorithm(), semantics: q.sem.String(), generation: snap.Generation(), workers: workers, result: res}, nil
 }
 
 // maybeCache stores complete results only: truncated runs (budget hit,
@@ -568,93 +546,78 @@ type ndjsonLine struct {
 	Summary *mineSummary `json:"summary,omitempty"`
 }
 
-// streamWriteBudget bounds each NDJSON write. A client that stops
-// reading (but keeps the connection open) would otherwise block the
-// pattern write forever and pin a mining slot; with the deadline the
-// write fails, the callback aborts the run, and the slot frees. Generous
-// enough that no live client — however slow its link — trips it between
-// two small lines.
+// streamWriteBudget bounds NDJSON writes. A client that stops reading
+// (but keeps the connection open) would otherwise block a write forever,
+// pinning the handler goroutine, its connection and, on a live stream, a
+// mining slot; with the deadline the write fails, a live run aborts, and
+// everything frees. Generous enough that no live client — however slow
+// its link — trips it between two small lines.
 const streamWriteBudget = 30 * time.Second
 
-// mineStreaming serves the NDJSON representation, emitting each pattern
-// the moment the miner finds it. The complete result still accumulates
-// in-memory so it can be cached for replay. ctx is the mining context
-// (request context, possibly bounded by the server's mine timeout).
-func (s *Server) mineStreaming(ctx context.Context, w http.ResponseWriter, e *dbEntry, snap *repro.Snapshot, q *mineRequest, key string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	// Rolling per-write deadline; best-effort (not every ResponseWriter
-	// supports deadlines — test recorders don't — and those that don't
-	// simply keep today's unbounded behavior).
-	rc := http.NewResponseController(w)
-	armWriteDeadline := func() { _ = rc.SetWriteDeadline(time.Now().Add(streamWriteBudget)) }
-
-	streamed := 0
-	onPattern := func(p repro.Pattern) bool {
-		pj := toPatternJSON(p)
-		armWriteDeadline()
-		if err := enc.Encode(ndjsonLine{Pattern: &pj}); err != nil {
-			return false // client went away or stalled out; abort the run
-		}
-		streamed++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	out, err := s.runMine(ctx, snap, q, onPattern)
-	if err != nil {
-		// Headers are not written until the first pattern line, so a
-		// validation error from the miner can still be a clean error
-		// status.
-		if streamed == 0 {
-			writeErrorFor(w, err)
-		}
-		return
-	}
-	if ctx.Err() != nil {
-		// Before the first pattern line the deadline can still be a clean
-		// 503; mid-stream the client sees a truncated stream (no summary
-		// line), which is the NDJSON protocol's abort signal.
-		if streamed == 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			setRetryHint(w, http.StatusServiceUnavailable)
-			writeError(w, http.StatusServiceUnavailable, "mine timed out after %v", s.mineTimeout)
-		}
-		return
-	}
-	s.maybeCache(key, out)
-	// Top-k has no streaming callback: replay its patterns now.
-	if q.TopK > 0 {
-		for i := range out.result.Patterns {
-			pj := toPatternJSON(out.result.Patterns[i])
-			armWriteDeadline()
-			if err := enc.Encode(ndjsonLine{Pattern: &pj}); err != nil {
-				return
-			}
-		}
-	}
-	armWriteDeadline()
-	sum := buildSummary(e, out, false)
-	_ = enc.Encode(ndjsonLine{Summary: &sum})
-	if flusher != nil {
-		flusher.Flush()
-	}
+// ndjsonWriter writes the lines of one NDJSON mine response, every write
+// under a streamWriteBudget deadline. A live stream re-arms the deadline
+// and flushes before each line, since mining between lines may take any
+// time; a replay of a finished result arms it once for the whole
+// response. Deadlines are best-effort: a ResponseWriter without deadline
+// support (test recorders) simply writes unbounded.
+type ndjsonWriter struct {
+	enc     *json.Encoder
+	rc      *http.ResponseController
+	flusher http.Flusher
+	live    bool
+	lines   int // pattern lines written
 }
 
-// streamOutcome replays a cached result in NDJSON form.
-func (s *Server) streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutcome, cached bool) {
+func newNDJSONWriter(w http.ResponseWriter, live bool) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for i := range out.result.Patterns {
-		pj := toPatternJSON(out.result.Patterns[i])
-		if err := enc.Encode(ndjsonLine{Pattern: &pj}); err != nil {
+	w.Header().Set("X-Accel-Buffering", "no")
+	nw := &ndjsonWriter{enc: json.NewEncoder(w), rc: http.NewResponseController(w), live: live}
+	nw.enc.SetEscapeHTML(false)
+	if live {
+		nw.flusher, _ = w.(http.Flusher)
+	} else {
+		nw.arm()
+	}
+	return nw
+}
+
+func (nw *ndjsonWriter) arm() { _ = nw.rc.SetWriteDeadline(time.Now().Add(streamWriteBudget)) }
+
+// write encodes one line; false means the client went away or stalled out.
+func (nw *ndjsonWriter) write(line ndjsonLine) bool {
+	if nw.live {
+		nw.arm()
+	}
+	if err := nw.enc.Encode(line); err != nil {
+		return false
+	}
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
+	return true
+}
+
+// pattern writes one pattern line; it is the OnPattern callback of a live
+// stream, so a false return aborts the run.
+func (nw *ndjsonWriter) pattern(p repro.Pattern) bool {
+	pj := toPatternJSON(p)
+	if !nw.write(ndjsonLine{Pattern: &pj}) {
+		return false
+	}
+	nw.lines++
+	return true
+}
+
+// summary writes the closing summary line.
+func (nw *ndjsonWriter) summary(sum mineSummary) { nw.write(ndjsonLine{Summary: &sum}) }
+
+// streamOutcome replays a cached result in NDJSON form.
+func streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutcome) {
+	nw := newNDJSONWriter(w, false)
+	for _, p := range out.result.Patterns {
+		if !nw.pattern(p) {
 			return
 		}
 	}
-	sum := buildSummary(e, out, cached)
-	_ = enc.Encode(ndjsonLine{Summary: &sum})
+	nw.summary(buildSummary(e, out, true))
 }

@@ -44,7 +44,7 @@ func TestMineSemanticsRoundTrip(t *testing.T) {
 	// Parallel runs return the same patterns per mode.
 	for _, sem := range []string{"repetitive", "nonoverlap", "compressed"} {
 		seqResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q}`, sem))
-		parResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q,"workers":4,"disableFastNext":true}`, sem))
+		parResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q,"workers":4}`, sem))
 		if len(seqResp.Patterns) != len(parResp.Patterns) {
 			t.Errorf("%s: workers=4 returned %d patterns, sequential %d", sem, len(parResp.Patterns), len(seqResp.Patterns))
 			continue

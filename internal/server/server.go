@@ -362,7 +362,7 @@ func readFormatMeta(dir string) string {
 		return repro.Tokens.String()
 	}
 	name := strings.TrimSpace(string(data))
-	if _, err := parseFormat(name); err != nil {
+	if _, err := repro.ParseFormat(name); err != nil {
 		return repro.Tokens.String()
 	}
 	return name
@@ -478,26 +478,4 @@ func (s *Server) list() []*dbEntry {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].name < out[b].name })
 	return out
-}
-
-// wireFormats are the formats accepted on upload; their wire names come
-// from repro.Format.String so there is one source of truth.
-var wireFormats = []repro.Format{repro.Tokens, repro.Chars, repro.SPMF}
-
-// parseFormat maps the wire format name to a repro.Format; empty selects
-// the default (tokens).
-func parseFormat(name string) (repro.Format, error) {
-	if name == "" {
-		return repro.Tokens, nil
-	}
-	for _, f := range wireFormats {
-		if f.String() == name {
-			return f, nil
-		}
-	}
-	names := make([]string, len(wireFormats))
-	for i, f := range wireFormats {
-		names[i] = f.String()
-	}
-	return 0, fmt.Errorf("%w %q (want %s)", repro.ErrUnknownFormat, name, strings.Join(names, ", "))
 }

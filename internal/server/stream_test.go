@@ -1,0 +1,71 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// deadlineRecorder is a ResponseWriter that supports write deadlines (as
+// http.ResponseController sees them) and records every deadline set.
+type deadlineRecorder struct {
+	*httptest.ResponseRecorder
+	deadlines []time.Time
+}
+
+func (d *deadlineRecorder) SetWriteDeadline(t time.Time) error {
+	d.deadlines = append(d.deadlines, t)
+	return nil
+}
+
+// streamWithDeadlines sends one NDJSON mine request for ex11 and returns
+// the recorder, the number of pattern lines and the summary line.
+func streamWithDeadlines(t *testing.T, h http.Handler, body string) (*deadlineRecorder, int, *mineSummary) {
+	t.Helper()
+	rec := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/databases/ex11/mine", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+	}
+	patterns, summary := decodeNDJSON(t, rec.Body.String())
+	if summary == nil {
+		t.Fatalf("%s: no summary line", body)
+	}
+	for _, d := range rec.deadlines {
+		if !d.After(time.Now()) {
+			t.Errorf("%s: write deadline %v is not in the future", body, d)
+		}
+	}
+	return rec, len(patterns), summary
+}
+
+// TestStreamWriteDeadlines: every NDJSON response — live, live top-k and
+// replayed from the cache — writes under a deadline, so a client that
+// stops reading cannot pin the handler. Live streams arm it before each
+// line; a cache replay arms it once for the whole response.
+func TestStreamWriteDeadlines(t *testing.T) {
+	h := newHandler(t)
+	upload(t, h, "ex11", "chars", example11)
+
+	rec, n, sum := streamWithDeadlines(t, h, `{"minSupport":2,"stream":true}`)
+	if sum.Cached || len(rec.deadlines) < n+1 {
+		t.Errorf("live stream: cached=%t, %d deadlines for %d lines", sum.Cached, len(rec.deadlines), n+1)
+	}
+	rec, n, sum = streamWithDeadlines(t, h, `{"topK":3,"closed":true,"stream":true}`)
+	if sum.Cached || n != 3 || len(rec.deadlines) < n+1 {
+		t.Errorf("live top-k stream: cached=%t, %d deadlines for %d lines", sum.Cached, len(rec.deadlines), n+1)
+	}
+
+	// Prime the cache through the buffered representation, then replay it
+	// as NDJSON.
+	mineJSON(t, h, "ex11", `{"closed":true,"minSupport":2}`)
+	rec, n, sum = streamWithDeadlines(t, h, `{"closed":true,"minSupport":2,"stream":true}`)
+	if !sum.Cached || n == 0 {
+		t.Fatalf("replay: cached=%t with %d patterns", sum.Cached, n)
+	}
+	if len(rec.deadlines) != 1 {
+		t.Errorf("cache-hit stream set %d write deadlines, want 1", len(rec.deadlines))
+	}
+}

@@ -2,13 +2,16 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro"
 )
 
-// mineRequest is the JSON body of POST /v1/databases/{name}/mine. The zero
-// value is invalid: either MinSupport >= 1 or TopK >= 1 must be set.
+// mineRequest is the JSON body of POST /v1/databases/{name}/mine: the
+// wire spelling of a repro.Options query, whose Validate holds every rule
+// on it. The zero value is invalid: either MinSupport >= 1 or TopK >= 1
+// must be set.
 type mineRequest struct {
 	// Closed selects CloGSgrow (closed patterns only).
 	Closed bool `json:"closed"`
@@ -33,11 +36,6 @@ type mineRequest struct {
 	// they are mined, then a final {"summary": ...} line. Also selected by
 	// an "Accept: application/x-ndjson" header.
 	Stream bool `json:"stream"`
-	// DisableFastNext mines with the binary-search next() index instead
-	// of the O(1) successor tables (the paper's original formulation).
-	// Results are identical; the knob exists for ablation and for
-	// memory-constrained deployments.
-	DisableFastNext bool `json:"disableFastNext"`
 	// Semantics selects the occurrence semantics: "repetitive" (default),
 	// "nonoverlap", "compressed", or "gapped" — the names accepted by
 	// repro.ParseSemantics. See the README's "Mining modes" matrix.
@@ -49,9 +47,6 @@ type mineRequest struct {
 	// CompressDelta is the support tolerance δ of "compressed" semantics;
 	// 0 selects the default (0.1). Only valid with "compressed".
 	CompressDelta float64 `json:"compressDelta"`
-
-	// sem is the parsed Semantics value, set by validate.
-	sem repro.Semantics
 }
 
 // maxWorkers bounds the per-request worker count. Far above any useful
@@ -59,92 +54,45 @@ type mineRequest struct {
 // eager per-worker allocations stay trivial.
 const maxWorkers = 256
 
-// validate checks the request and parses its semantics field into q.sem.
-// Every error wraps a repro sentinel (ErrInvalidOptions or
-// ErrUnknownSemantics), so the handler's one status table covers request
-// validation too; semantics × option conflicts beyond these checks are
-// rejected by the repro layer with the same sentinels.
-func (q *mineRequest) validate() error {
+// options returns the validated query the request spells. Every error
+// wraps a repro sentinel, so the handler's one status table covers
+// request validation too.
+func (q *mineRequest) options() (repro.Options, error) {
+	if q.Workers > maxWorkers {
+		return repro.Options{}, fmt.Errorf("%w: workers must be <= %d, got %d", repro.ErrInvalidOptions, maxWorkers, q.Workers)
+	}
 	sem, err := repro.ParseSemantics(q.Semantics)
 	if err != nil {
-		return err
+		return repro.Options{}, err
 	}
-	q.sem = sem
-	if q.TopK < 0 {
-		return fmt.Errorf("%w: topK must be >= 0, got %d", repro.ErrInvalidOptions, q.TopK)
+	opt := repro.Options{
+		MinSupport:       q.MinSupport,
+		Closed:           q.Closed,
+		TopK:             q.TopK,
+		MaxPatternLength: q.MaxPatternLength,
+		MaxPatterns:      q.MaxPatterns,
+		CollectInstances: q.Instances,
+		Workers:          q.Workers,
+		Semantics:        sem,
+		MinGap:           q.MinGap,
+		MaxGap:           q.MaxGap,
+		CompressDelta:    q.CompressDelta,
 	}
-	if q.Workers > maxWorkers {
-		return fmt.Errorf("%w: workers must be <= %d, got %d", repro.ErrInvalidOptions, maxWorkers, q.Workers)
-	}
-	if q.TopK == 0 && q.MinSupport < 1 {
-		return fmt.Errorf("%w: minSupport must be >= 1 (got %d) unless topK is set", repro.ErrInvalidOptions, q.MinSupport)
-	}
-	if q.MaxPatternLength < 0 || q.MaxPatterns < 0 || q.Workers < 0 {
-		return fmt.Errorf("%w: maxPatternLength, maxPatterns, and workers must be >= 0", repro.ErrInvalidOptions)
-	}
-	// Top-k mode has no instance collection and k already is the pattern
-	// budget; silently ignoring these would misreport what ran.
-	if q.TopK > 0 && q.Instances {
-		return fmt.Errorf("%w: instances is not supported in top-k mode", repro.ErrInvalidOptions)
-	}
-	if q.TopK > 0 && q.MaxPatterns > 0 {
-		return fmt.Errorf("%w: maxPatterns conflicts with topK (k already bounds the result)", repro.ErrInvalidOptions)
-	}
-	if q.TopK > 0 && sem != repro.SemanticsRepetitive {
-		return fmt.Errorf("%w: topK supports only repetitive semantics (got %s)", repro.ErrInvalidOptions, sem)
-	}
-	return nil
+	return opt, opt.Validate()
 }
 
-// algorithm names the paper algorithm the request resolves to.
-func (q *mineRequest) algorithm() string {
-	switch q.sem {
-	case repro.SemanticsNonOverlapping:
-		return "GSgrow-NonOverlap"
-	case repro.SemanticsCompressed:
-		return "CRGSgrow"
-	case repro.SemanticsGapped:
-		return "GapGSgrow"
-	}
-	name := "GSgrow"
-	if q.TopK > 0 {
-		name = "TopK"
-	}
-	if q.Closed {
-		name = "Clo" + name
-	}
-	return name
-}
-
-// cacheKey canonicalizes the mining options. The data identity is the
+// cacheKey is the result-cache key of query opt against one snapshot:
+// the data identity, then opt's canonical form. The data identity is the
 // pair (upload generation, snapshot generation): the server-wide upload
 // counter pins which upload the entry came from (never reused, even
 // across delete + re-upload), and the snapshot generation advances with
 // every append — so appending to one database invalidates exactly its own
-// entries while every other database keeps its warm cache. Workers is
-// deliberately canonicalized away — for every request shape, top-k
-// included: only complete results are cached, those are deterministic
-// and identical across worker counts (the core's parity tests assert
-// byte-equality), so a result mined at any worker count serves every
-// other. Stream is excluded too — a cached result can be replayed in
-// either representation. DisableFastNext is included even though both
-// index variants provably produce identical results (the parity tests
-// assert it): the knob exists precisely to measure the variants against
-// each other, and serving a cached fast-index result to a
-// disableFastNext probe would silently invalidate the measurement.
-//
-// Semantics is a cache dimension, canonicalized through the parsed value
-// (so "" and "repetitive" share entries), as are its mode parameters:
-// minGap/maxGap (always 0 outside gapped mode — validation rejects them
-// elsewhere) and the compression tolerance, where delta=0 is canonicalized
-// to the default it selects so explicit-default requests share the entry.
-func (q *mineRequest) cacheKey(db string, uploadGen, snapGen uint64) string {
-	delta := q.CompressDelta
-	if q.sem == repro.SemanticsCompressed && delta == 0 {
-		delta = repro.DefaultCompressDelta
-	}
-	return fmt.Sprintf("%s@%d.%d|sem=%s closed=%t minsup=%d topk=%d maxlen=%d maxpat=%d inst=%t fastnext=%t mingap=%d maxgap=%d delta=%g",
-		db, uploadGen, snapGen, q.sem, q.Closed, q.MinSupport, q.TopK, q.MaxPatternLength, q.MaxPatterns, q.Instances, !q.DisableFastNext, q.MinGap, q.MaxGap, delta)
+// entries while every other database keeps its warm cache. Worker count
+// and streaming are not part of the key: only complete results are
+// cached, those are identical across worker counts, and a cached result
+// can be replayed in either representation.
+func cacheKey(db string, uploadGen, snapGen uint64, opt repro.Options) string {
+	return db + "@" + strconv.FormatUint(uploadGen, 10) + "." + strconv.FormatUint(snapGen, 10) + "|" + opt.Canonical()
 }
 
 // mineOutcome is a finished mining run as held in the cache.

@@ -23,7 +23,7 @@ type Snapshot struct {
 	// is uncontended.
 	ixMu sync.Mutex
 	fast *seq.Index // FastNext successor-table index (mining default)
-	slow *seq.Index // binary-search index (DisableFastNext runs)
+	slow *seq.Index // binary-search index (ablation and benchmarks)
 
 	statsOnce sync.Once
 	stats     seq.Stats
@@ -59,7 +59,8 @@ func (s *Snapshot) Stats() seq.Stats {
 
 // Index returns the snapshot's inverted index: the FastNext variant by
 // default, the binary-search variant when disableFastNext is set (the
-// paper's original O(log L) formulation — results are identical). The
+// paper's original O(log L) formulation — results are identical; only
+// ablation runs and benchmarks ask for it). The
 // index is built lazily on first use unless the append that created this
 // snapshot already extended the parent's.
 func (s *Snapshot) Index(disableFastNext bool) *seq.Index {

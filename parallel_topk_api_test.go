@@ -29,20 +29,20 @@ func TestPublicWorkers(t *testing.T) {
 	}
 }
 
-// TestPublicTopKWorkers: TopKOptions.Workers returns byte-identical
-// results to the sequential search for every k, and a deterministic
-// MaxPatterns budget under Workers matches the sequential prefix.
+// TestPublicTopKWorkers: Workers under TopK returns byte-identical
+// results to the sequential search for every k, through both Mine and
+// MineTopKWith.
 func TestPublicTopKWorkers(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "ABCACBDDBABCACBDDB")
 	db.AddString("S2", "ACDBACADDACDBACADD")
 	for _, closed := range []bool{false, true} {
 		for _, k := range []int{1, 10, 100} {
-			seqRes, err := db.MineTopKWith(k, closed, TopKOptions{})
+			seqRes, err := db.Mine(Options{TopK: k, Closed: closed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parRes, err := db.MineTopKWith(k, closed, TopKOptions{Workers: 4})
+			parRes, err := db.Snapshot().MineTopKWith(k, closed, TopKOptions{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

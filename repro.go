@@ -30,31 +30,44 @@ const (
 	SPMF
 )
 
+// formats holds each Format's CLI/wire name and parser format.
+var formats = [...]struct {
+	name string
+	seq  seq.Format
+}{
+	Tokens: {"tokens", seq.FormatTokens},
+	Chars:  {"chars", seq.FormatChars},
+	SPMF:   {"spmf", seq.FormatSPMF},
+}
+
 // String returns the CLI/wire name of the format.
 func (f Format) String() string {
-	switch f {
-	case Tokens:
-		return "tokens"
-	case Chars:
-		return "chars"
-	case SPMF:
-		return "spmf"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
+	if f >= 0 && int(f) < len(formats) {
+		return formats[f].name
 	}
+	return fmt.Sprintf("Format(%d)", int(f))
+}
+
+// ParseFormat maps a wire/flag format name ("tokens", "chars", "spmf") to
+// a Format; the empty string selects Tokens. Unknown names return an
+// error wrapping ErrUnknownFormat.
+func ParseFormat(name string) (Format, error) {
+	if name == "" {
+		return Tokens, nil
+	}
+	for f := range formats {
+		if formats[f].name == name {
+			return Format(f), nil
+		}
+	}
+	return 0, fmt.Errorf("repro: %w %q (want tokens, chars, spmf)", ErrUnknownFormat, name)
 }
 
 func (f Format) internal() (seq.Format, error) {
-	switch f {
-	case Tokens:
-		return seq.FormatTokens, nil
-	case Chars:
-		return seq.FormatChars, nil
-	case SPMF:
-		return seq.FormatSPMF, nil
-	default:
+	if f < 0 || int(f) >= len(formats) {
 		return 0, fmt.Errorf("repro: %w %d", ErrUnknownFormat, int(f))
 	}
+	return formats[f].seq, nil
 }
 
 // Database is a growing sequence database and the handle on which mining
@@ -67,10 +80,9 @@ func (f Format) internal() (seq.Format, error) {
 // Mining uses a FastNext index by default: per-sequence successor tables
 // that answer the paper's next(S, e, lowest) primitive in O(1) instead of
 // O(log L), built lazily under a memory budget (sequences whose table
-// would not fit fall back to binary search individually). Runs with
-// Options.DisableFastNext use a separate binary-search-only index. Once an
-// index variant has been built, appends maintain it incrementally in
-// O(delta) instead of rebuilding it.
+// would not fit fall back to binary search individually). Once the index
+// has been built, appends maintain it incrementally in O(delta) instead of
+// rebuilding it.
 type Database struct {
 	// st is swapped atomically when a replica re-bootstraps onto a fresh
 	// lineage (see OpenReplica); for every other database it is set once.
@@ -272,10 +284,27 @@ type Stats struct {
 	AvgLength      float64
 }
 
-// Options configures a mining run.
+// Options is one mining query. The library, the gsgrow CLI and the HTTP
+// service all express a mining run as this value: Validate holds every
+// rule on it, Canonical is its result-cache key and Algorithm names what
+// it runs. The zero value of every field but MinSupport (or TopK) selects
+// the default.
 type Options struct {
-	// MinSupport is the repetitive-support threshold (>= 1).
+	// MinSupport is the repetitive-support threshold (>= 1). Ignored when
+	// TopK is set.
 	MinSupport int
+	// Closed mines only closed patterns: those with no super-pattern of
+	// equal support (the paper's CloGSgrow, or the closed top-k). Closure
+	// is defined under SemanticsRepetitive and SemanticsCompressed, which
+	// searches the closed set whether or not Closed is set.
+	Closed bool
+	// TopK >= 1 mines the K highest-support patterns by best-first search
+	// instead of thresholding: patterns come back in non-increasing
+	// support order, ties broken lexicographically, and MinSupport is
+	// ignored. Top-k runs under SemanticsRepetitive only and rejects
+	// MaxPatterns (k already bounds the result) and CollectInstances.
+	// Intended for exploration; on dense data prefer a threshold.
+	TopK int
 	// MaxPatternLength bounds pattern length; 0 = unbounded.
 	MaxPatternLength int
 	// MaxPatterns stops the run after that many patterns (0 = unbounded);
@@ -288,31 +317,31 @@ type Options struct {
 	// Workers > 1 fans the mining DFS out over that many goroutines,
 	// scheduled by work stealing: idle workers take untaken branches from
 	// busy workers' subtrees, so deep skewed search spaces parallelize,
-	// not just wide ones. The result — patterns, supports, order, and the
-	// first-MaxPatterns prefix under a budget — is identical to the
-	// sequential run regardless of worker count or steal timing. More
-	// workers than cores, or tiny databases whose whole mine takes
-	// microseconds, only add scheduling overhead; see the package
-	// documentation for guidance.
+	// not just wide ones. Under TopK it shards the best-first frontier
+	// instead, coordinated through the current k-th best support. The
+	// result — patterns, supports, order, and the first-MaxPatterns prefix
+	// under a budget — is identical to the sequential run regardless of
+	// worker count or steal timing. More workers than cores, or tiny
+	// databases whose whole mine takes microseconds, only add scheduling
+	// overhead; see the package documentation for guidance.
 	Workers int
 	// Ctx, when non-nil, cancels the run: mining polls the context
 	// periodically and, once it is done, stops and returns the patterns
 	// found so far with Result.Truncated set (no error). Use it to bound
-	// interactive queries or abort on client disconnect.
+	// interactive queries or abort on client disconnect. A cancelled
+	// sequential top-k run still returns true top patterns; a cancelled
+	// parallel one returns its best candidates so far without that
+	// guarantee.
 	Ctx context.Context
 	// OnPattern, when non-nil, streams every pattern as it is emitted
 	// (serialized across workers). Returning false stops the run with
-	// Result.Truncated set.
+	// Result.Truncated set. The top-k search ranks its patterns only once
+	// it is done, so under TopK they stream after the search, in rank
+	// order.
 	OnPattern func(Pattern) bool
 	// DiscardPatterns suppresses accumulation in Result.Patterns — use with
 	// OnPattern when streaming huge results to keep memory flat.
 	DiscardPatterns bool
-	// DisableFastNext runs this query against the binary-search next()
-	// index instead of the O(1) successor tables — the paper's original
-	// O(log L) formulation. Output is identical; only the speed/memory
-	// trade-off changes. The binary-search index is built lazily on the
-	// first such run and cached alongside the fast one.
-	DisableFastNext bool
 	// Semantics selects the occurrence semantics of the run; the zero
 	// value is SemanticsRepetitive, the paper's definition. See the
 	// Semantics constants for the modes and their papers.
@@ -377,62 +406,94 @@ type Result struct {
 	TopKArenaBytes   int64
 }
 
-// Mine returns every pattern with repetitive support at least
-// opt.MinSupport (the paper's GSgrow), run against the current snapshot.
+// Mine runs the query opt against the current snapshot: every pattern
+// with repetitive support at least opt.MinSupport (the paper's GSgrow),
+// only the closed ones when opt.Closed is set (CloGSgrow), or the
+// opt.TopK best when TopK is set.
 func (d *Database) Mine(opt Options) (*Result, error) {
-	return d.Snapshot().Mine(opt)
+	return d.Snapshot().run(opt)
 }
 
 // MineClosed returns every closed frequent pattern: those with no
 // super-pattern of equal support (the paper's CloGSgrow). The closed set
 // is typically orders of magnitude smaller than the full frequent set and
 // loses no information: every frequent pattern is a sub-pattern of some
-// closed pattern with the same support.
+// closed pattern with the same support. It is Mine with opt.Closed set.
 func (d *Database) MineClosed(opt Options) (*Result, error) {
 	return d.Snapshot().MineClosed(opt)
 }
 
-// Mine returns every pattern with repetitive support at least
-// opt.MinSupport (the paper's GSgrow) in this generation.
+// MineTopK returns the k highest-support patterns (closed patterns when
+// closed is set) of the current snapshot; it is Mine with
+// Options{TopK: k, Closed: closed}.
+func (d *Database) MineTopK(k int, closed bool) (*Result, error) {
+	return d.Snapshot().run(Options{TopK: k, Closed: closed})
+}
+
+// Mine runs the query opt against this generation; see Database.Mine.
 func (s *Snapshot) Mine(opt Options) (*Result, error) {
-	return s.mine(opt, false)
+	return s.run(opt)
 }
 
 // MineClosed returns every closed frequent pattern of this generation (the
 // paper's CloGSgrow); see Database.MineClosed.
 func (s *Snapshot) MineClosed(opt Options) (*Result, error) {
-	return s.mine(opt, true)
+	opt.Closed = true
+	return s.run(opt)
 }
 
-func (s *Snapshot) mine(opt Options, closed bool) (*Result, error) {
-	if err := validateSemantics(opt, closed); err != nil {
+// TopKOptions are the run-level options of MineTopKWith.
+type TopKOptions struct {
+	// MaxPatternLength bounds pattern length; 0 = unbounded.
+	MaxPatternLength int
+	// Workers is Options.Workers.
+	Workers int
+	// Ctx is Options.Ctx.
+	Ctx context.Context
+}
+
+// MineTopKWith mines the k highest-support (closed) patterns of this
+// generation; it is Mine with Options{TopK: k, Closed: closed} and the
+// run-level options of opt.
+func (s *Snapshot) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, error) {
+	return s.run(Options{TopK: k, Closed: closed, MaxPatternLength: opt.MaxPatternLength, Workers: opt.Workers, Ctx: opt.Ctx})
+}
+
+// run executes one query against this snapshot: the best-first top-k
+// search, the gap-constrained miner or the GSgrow kernel under the
+// query's semantics. Every mode exports its patterns the same way and
+// honours OnPattern and DiscardPatterns.
+func (s *Snapshot) run(opt Options) (*Result, error) {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Semantics == SemanticsGapped {
-		return s.mineGapped(opt)
-	}
-	copt := core.Options{
-		MinSupport:       opt.MinSupport,
-		Closed:           closed,
-		MaxPatternLength: opt.MaxPatternLength,
-		MaxPatterns:      opt.MaxPatterns,
-		CollectInstances: opt.CollectInstances,
-		Ctx:              opt.Ctx,
-		DiscardPatterns:  opt.DiscardPatterns,
-		Semantics:        coreSemantics(opt.Semantics),
-		CompressDelta:    opt.CompressDelta,
-	}
+	var emit func(core.Pattern) bool
 	if opt.OnPattern != nil {
-		cb := opt.OnPattern
-		copt.OnPattern = func(p core.Pattern) bool { return cb(s.exportPattern(p)) }
+		emit = func(p core.Pattern) bool { return opt.OnPattern(s.exportPattern(p)) }
 	}
-	ix := s.s.Index(opt.DisableFastNext)
 	var res *core.Result
 	var err error
-	if opt.Workers > 1 {
-		res, err = core.MineParallel(ix, copt, opt.Workers)
-	} else {
-		res, err = core.Mine(ix, copt)
+	switch {
+	case opt.TopK > 0:
+		res, err = core.MineTopKParallel(opt.Ctx, s.s.Index(false), opt.TopK, opt.Closed, opt.MaxPatternLength, opt.Workers)
+		if err == nil && emit != nil {
+			streamRanked(res, emit)
+		}
+	case opt.Semantics == SemanticsGapped:
+		res, err = mineGapped(s.s.DB(), opt, emit)
+	default:
+		res, err = core.MineParallel(s.s.Index(false), core.Options{
+			MinSupport:       opt.MinSupport,
+			Closed:           opt.Closed,
+			MaxPatternLength: opt.MaxPatternLength,
+			MaxPatterns:      opt.MaxPatterns,
+			CollectInstances: opt.CollectInstances,
+			Ctx:              opt.Ctx,
+			OnPattern:        emit,
+			DiscardPatterns:  opt.DiscardPatterns,
+			Semantics:        coreSemantics(opt.Semantics),
+			CompressDelta:    opt.CompressDelta,
+		}, opt.Workers)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
@@ -443,21 +504,37 @@ func (s *Snapshot) mine(opt Options, closed bool) (*Result, error) {
 		Elapsed:          res.Stats.Duration,
 		WorkersRequested: res.Stats.WorkersRequested,
 		WorkersEffective: res.Stats.WorkersEffective,
+		TopKFrontierPeak: res.Stats.FrontierPeak,
+		TopKArenaBytes:   res.Stats.ArenaBytes,
 	}
-	out.Patterns = make([]Pattern, len(res.Patterns))
-	for i, p := range res.Patterns {
-		out.Patterns[i] = s.exportPattern(p)
+	if !opt.DiscardPatterns {
+		out.Patterns = make([]Pattern, len(res.Patterns))
+		for i, p := range res.Patterns {
+			out.Patterns[i] = s.exportPattern(p)
+		}
 	}
 	return out, nil
 }
 
-// mineGapped routes a SemanticsGapped run to the gap-constrained miner
+// streamRanked feeds a finished top-k result through emit. A false return
+// keeps the patterns delivered so far and marks the result truncated, as
+// OnPattern does in the other modes.
+func streamRanked(res *core.Result, emit func(core.Pattern) bool) {
+	for i, p := range res.Patterns {
+		if !emit(p) {
+			res.Patterns = res.Patterns[:i+1]
+			res.NumPatterns = i + 1
+			res.Stats.Truncated = true
+			return
+		}
+	}
+}
+
+// mineGapped runs a SemanticsGapped query on the gap-constrained miner
 // (internal/gapped), which computes support by per-sequence max flow —
-// greedy leftmost growth is not optimal under gap constraints. Closed
-// mode, Workers > 1 and CollectInstances were rejected by
-// validateSemantics before this point.
-func (s *Snapshot) mineGapped(opt Options) (*Result, error) {
-	db := s.s.DB()
+// greedy leftmost growth is not optimal under gap constraints — and
+// adapts its result to the kernel's shape.
+func mineGapped(db *seq.DB, opt Options, emit func(core.Pattern) bool) (*core.Result, error) {
 	gopt := gapped.Options{
 		MinSupport:       opt.MinSupport,
 		MinGap:           opt.MinGap,
@@ -466,36 +543,21 @@ func (s *Snapshot) mineGapped(opt Options) (*Result, error) {
 		MaxPatterns:      opt.MaxPatterns,
 		Ctx:              opt.Ctx,
 	}
-	if opt.OnPattern != nil {
-		cb := opt.OnPattern
-		gopt.OnPattern = func(p gapped.Pattern) bool { return cb(exportGappedPattern(db, p)) }
+	if emit != nil {
+		gopt.OnPattern = func(p gapped.Pattern) bool { return emit(core.Pattern{Events: p.Events, Support: p.Support}) }
 	}
-	res, err := gapped.Mine(db, gopt)
+	g, err := gapped.Mine(db, gopt)
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
+		return nil, err
 	}
-	out := &Result{
-		NumPatterns:      len(res.Patterns),
-		Truncated:        res.Truncated,
-		Elapsed:          res.Duration,
-		WorkersRequested: 1,
-		WorkersEffective: 1,
+	res := &core.Result{Patterns: make([]core.Pattern, len(g.Patterns)), NumPatterns: len(g.Patterns)}
+	for i, p := range g.Patterns {
+		res.Patterns[i] = core.Pattern{Events: p.Events, Support: p.Support}
 	}
-	if !opt.DiscardPatterns {
-		out.Patterns = make([]Pattern, len(res.Patterns))
-		for i, p := range res.Patterns {
-			out.Patterns[i] = exportGappedPattern(db, p)
-		}
-	}
-	return out, nil
-}
-
-func exportGappedPattern(db *seq.DB, p gapped.Pattern) Pattern {
-	events := make([]string, len(p.Events))
-	for j, e := range p.Events {
-		events[j] = db.Dict.Name(e)
-	}
-	return Pattern{Events: events, Support: p.Support}
+	res.Stats.Truncated = g.Truncated
+	res.Stats.Duration = g.Duration
+	res.Stats.WorkersRequested, res.Stats.WorkersEffective = 1, 1
+	return res, nil
 }
 
 func (s *Snapshot) exportPattern(p core.Pattern) Pattern {
@@ -526,85 +588,6 @@ func (s *Snapshot) exportInstances(set core.FullSet) []Instance {
 	return out
 }
 
-// MineTopK returns the k highest-support patterns (closed patterns when
-// closed is set) without requiring a support threshold, via best-first
-// search over the pattern-growth tree. Patterns come back in
-// non-increasing support order, ties broken lexicographically. Intended
-// for exploration; on dense data prefer Mine with a threshold.
-func (d *Database) MineTopK(k int, closed bool) (*Result, error) {
-	return d.MineTopKContext(context.Background(), k, closed, 0)
-}
-
-// TopKOptions configures MineTopKWith. The zero value matches MineTopK's
-// defaults.
-type TopKOptions struct {
-	// MaxPatternLength bounds pattern length; 0 = unbounded.
-	MaxPatternLength int
-	// Workers > 1 runs the best-first search over that many goroutines,
-	// each expanding a shard of the frontier, coordinated through the
-	// current k-th best support so dead shards stop early. The result is
-	// byte-identical to the sequential search for any worker count.
-	Workers int
-	// Ctx, when non-nil, cancels the search: the patterns found so far
-	// come back with Result.Truncated set. With Workers <= 1, best-first
-	// order guarantees those are still the true highest-support patterns;
-	// a cancelled parallel search returns its best candidates so far
-	// without that guarantee.
-	Ctx context.Context
-	// DisableFastNext runs the search against the binary-search next()
-	// index, with the same contract as Options.DisableFastNext.
-	DisableFastNext bool
-	// Semantics selects the occurrence semantics. The best-first top-k
-	// search is defined over repetitive support only, so any value other
-	// than SemanticsRepetitive is rejected with ErrInvalidOptions; for a
-	// small representative pattern set use Mine with SemanticsCompressed
-	// and MaxPatterns instead.
-	Semantics Semantics
-}
-
-// MineTopKContext is MineTopK with cancellation and an optional pattern
-// length bound (maxLen 0 = unbounded): when ctx is done, the search stops
-// and the patterns found so far come back with Result.Truncated set.
-func (d *Database) MineTopKContext(ctx context.Context, k int, closed bool, maxLen int) (*Result, error) {
-	return d.MineTopKWith(k, closed, TopKOptions{Ctx: ctx, MaxPatternLength: maxLen})
-}
-
-// MineTopKWith is MineTopK with the full set of run-level options the
-// top-k search supports.
-func (d *Database) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, error) {
-	return d.Snapshot().MineTopKWith(k, closed, opt)
-}
-
-// MineTopKWith mines the k highest-support (closed) patterns of this
-// generation; see Database.MineTopK.
-func (s *Snapshot) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, error) {
-	switch opt.Semantics {
-	case SemanticsRepetitive:
-	case SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped:
-		return nil, fmt.Errorf("repro: %w: top-k search supports only repetitive semantics (got %s)", ErrInvalidOptions, opt.Semantics)
-	default:
-		return nil, fmt.Errorf("repro: %w %s", ErrUnknownSemantics, opt.Semantics)
-	}
-	res, err := core.MineTopKParallel(opt.Ctx, s.s.Index(opt.DisableFastNext), k, closed, opt.MaxPatternLength, opt.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
-	}
-	out := &Result{
-		NumPatterns:      res.NumPatterns,
-		Truncated:        res.Stats.Truncated,
-		Elapsed:          res.Stats.Duration,
-		WorkersRequested: res.Stats.WorkersRequested,
-		WorkersEffective: res.Stats.WorkersEffective,
-		TopKFrontierPeak: res.Stats.FrontierPeak,
-		TopKArenaBytes:   res.Stats.ArenaBytes,
-	}
-	out.Patterns = make([]Pattern, len(res.Patterns))
-	for i, p := range res.Patterns {
-		out.Patterns[i] = s.exportPattern(p)
-	}
-	return out, nil
-}
-
 // Support computes the repetitive support of one pattern, given as event
 // names, in the current snapshot. Unknown event names yield support 0.
 func (d *Database) Support(pattern []string) int {
@@ -627,14 +610,9 @@ func (d *Database) SupportSet(pattern []string) []Instance {
 // SupportSet computes a maximum set of non-overlapping occurrences of
 // pattern (the leftmost support set) in this generation.
 func (s *Snapshot) SupportSet(pattern []string) []Instance {
-	db := s.s.DB()
-	ids := make([]seq.EventID, len(pattern))
-	for i, n := range pattern {
-		id := db.Dict.Lookup(n)
-		if id == seq.NoEvent {
-			return nil
-		}
-		ids[i] = id
+	ids, err := s.s.DB().EventSeq(pattern)
+	if err != nil {
+		return nil // an unknown event never occurs
 	}
 	return s.exportInstances(core.ComputeSupportSet(s.s.Index(false), ids))
 }

@@ -33,8 +33,11 @@ const (
 	SemanticsCompressed
 	// SemanticsGapped mines under a gap constraint: every gap between
 	// consecutive pattern events must lie in [MinGap, MaxGap] (the
-	// paper's Section V future-work extension; see MineGapConstrained's
-	// notes on how gap constraints change the algorithm).
+	// paper's Section V future-work extension). Gap-constrained support
+	// is not monotone under arbitrary sub-patterns (deleting a middle
+	// event merges two gaps), so the result set is closed under prefixes
+	// only, and support is a per-sequence max-flow computation because
+	// greedy leftmost growth is not optimal under gap constraints.
 	SemanticsGapped
 )
 
@@ -42,39 +45,33 @@ const (
 // SemanticsCompressed when Options.CompressDelta is zero.
 const DefaultCompressDelta = core.DefaultCompressDelta
 
+// semanticsNames are the wire/flag names, indexed by Semantics.
+var semanticsNames = [...]string{"repetitive", "nonoverlap", "compressed", "gapped"}
+
 // String returns the wire/flag name of the semantics ("repetitive",
 // "nonoverlap", "compressed", "gapped").
 func (s Semantics) String() string {
-	switch s {
-	case SemanticsRepetitive:
-		return "repetitive"
-	case SemanticsNonOverlapping:
-		return "nonoverlap"
-	case SemanticsCompressed:
-		return "compressed"
-	case SemanticsGapped:
-		return "gapped"
-	default:
-		return fmt.Sprintf("Semantics(%d)", int(s))
+	if s.known() {
+		return semanticsNames[s]
 	}
+	return fmt.Sprintf("Semantics(%d)", int(s))
 }
+
+func (s Semantics) known() bool { return s >= 0 && int(s) < len(semanticsNames) }
 
 // ParseSemantics maps a wire/flag name to a Semantics. The empty string
 // selects the default (SemanticsRepetitive); unknown names return an
 // error wrapping ErrUnknownSemantics.
 func ParseSemantics(name string) (Semantics, error) {
-	switch name {
-	case "", "repetitive":
+	if name == "" {
 		return SemanticsRepetitive, nil
-	case "nonoverlap":
-		return SemanticsNonOverlapping, nil
-	case "compressed":
-		return SemanticsCompressed, nil
-	case "gapped":
-		return SemanticsGapped, nil
-	default:
-		return 0, fmt.Errorf("repro: %w %q (want repetitive, nonoverlap, compressed, or gapped)", ErrUnknownSemantics, name)
 	}
+	for s, n := range semanticsNames {
+		if n == name {
+			return Semantics(s), nil
+		}
+	}
+	return 0, fmt.Errorf("repro: %w %q (want repetitive, nonoverlap, compressed, or gapped)", ErrUnknownSemantics, name)
 }
 
 // coreSemantics maps the public enum to the kernel's strategy value; the
@@ -88,38 +85,4 @@ func coreSemantics(s Semantics) core.Semantics {
 	default:
 		return nil
 	}
-}
-
-// validateSemantics checks the semantics-dependent option combinations
-// shared by every mining surface.
-func validateSemantics(opt Options, closed bool) error {
-	switch opt.Semantics {
-	case SemanticsRepetitive, SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped:
-	default:
-		return fmt.Errorf("repro: %w %s", ErrUnknownSemantics, opt.Semantics)
-	}
-	if opt.Semantics != SemanticsGapped && (opt.MinGap != 0 || opt.MaxGap != 0) {
-		return fmt.Errorf("repro: %w: MinGap/MaxGap require SemanticsGapped (got %s)", ErrInvalidOptions, opt.Semantics)
-	}
-	if opt.Semantics != SemanticsCompressed && opt.CompressDelta != 0 {
-		return fmt.Errorf("repro: %w: CompressDelta requires SemanticsCompressed (got %s)", ErrInvalidOptions, opt.Semantics)
-	}
-	if opt.CompressDelta < 0 || opt.CompressDelta >= 1 {
-		return fmt.Errorf("repro: %w: CompressDelta must be in [0, 1), got %g", ErrInvalidOptions, opt.CompressDelta)
-	}
-	if closed && opt.Semantics == SemanticsNonOverlapping {
-		return fmt.Errorf("repro: %w: closed mining is not defined under nonoverlap semantics", ErrInvalidOptions)
-	}
-	if closed && opt.Semantics == SemanticsGapped {
-		return fmt.Errorf("repro: %w: closed mining is not defined under gapped semantics", ErrInvalidOptions)
-	}
-	if opt.Semantics == SemanticsGapped {
-		if opt.Workers > 1 {
-			return fmt.Errorf("repro: %w: the gapped miner is sequential (Workers must be <= 1)", ErrInvalidOptions)
-		}
-		if opt.CollectInstances {
-			return fmt.Errorf("repro: %w: CollectInstances is not supported under gapped semantics", ErrInvalidOptions)
-		}
-	}
-	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/gapped"
 )
 
 func TestParseSemanticsRoundTrip(t *testing.T) {
@@ -64,9 +66,10 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestGapWrapperParity: the deprecated MineGapConstrained wrapper and the
-// unified Options.Semantics surface return identical results on the
-// shipped fixtures.
+// TestGapWrapperParity: the public gapped surface (Options.Semantics =
+// SemanticsGapped) wraps the gap-constrained miner without changing its
+// output: identical patterns, supports and order on the shipped fixtures,
+// with and without a pattern budget.
 func TestGapWrapperParity(t *testing.T) {
 	fixtures := map[string]Format{
 		"testdata/example11.chars": Chars,
@@ -77,22 +80,32 @@ func TestGapWrapperParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sdb := db.Snapshot().s.DB()
 		for _, gaps := range []struct{ min, max int }{{0, 0}, {0, 2}, {1, 3}} {
-			old, err := db.MineGapConstrained(GapOptions{MinSupport: 2, MinGap: gaps.min, MaxGap: gaps.max})
-			if err != nil {
-				t.Fatal(err)
-			}
-			unified, err := db.Mine(Options{
-				MinSupport: 2, Semantics: SemanticsGapped, MinGap: gaps.min, MaxGap: gaps.max,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(old.Patterns, unified.Patterns) {
-				t.Errorf("%s gaps [%d,%d]: wrapper and unified surface disagree", path, gaps.min, gaps.max)
-			}
-			if old.NumPatterns != unified.NumPatterns || old.Truncated != unified.Truncated {
-				t.Errorf("%s gaps [%d,%d]: result metadata disagrees", path, gaps.min, gaps.max)
+			for _, maxPatterns := range []int{0, 3} {
+				kernel, err := gapped.Mine(sdb, gapped.Options{MinSupport: 2, MinGap: gaps.min, MaxGap: gaps.max, MaxPatterns: maxPatterns})
+				if err != nil {
+					t.Fatal(err)
+				}
+				unified, err := db.Mine(Options{
+					MinSupport: 2, Semantics: SemanticsGapped, MinGap: gaps.min, MaxGap: gaps.max, MaxPatterns: maxPatterns,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]Pattern, len(kernel.Patterns))
+				for i, p := range kernel.Patterns {
+					want[i] = Pattern{Events: make([]string, len(p.Events)), Support: p.Support}
+					for j, e := range p.Events {
+						want[i].Events[j] = sdb.Dict.Name(e)
+					}
+				}
+				if !reflect.DeepEqual(want, unified.Patterns) {
+					t.Errorf("%s gaps [%d,%d] maxPatterns=%d: public surface and gapped miner disagree", path, gaps.min, gaps.max, maxPatterns)
+				}
+				if len(kernel.Patterns) != unified.NumPatterns || kernel.Truncated != unified.Truncated {
+					t.Errorf("%s gaps [%d,%d] maxPatterns=%d: result metadata disagrees", path, gaps.min, gaps.max, maxPatterns)
+				}
 			}
 		}
 	}
@@ -178,15 +191,15 @@ func patternKey(events []string) string {
 func TestTopKSemanticsRejection(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("", "ABAB")
-	if _, err := db.MineTopKWith(2, false, TopKOptions{}); err != nil {
+	if _, err := db.Mine(Options{TopK: 2}); err != nil {
 		t.Fatalf("default top-k: %v", err)
 	}
 	for _, s := range []Semantics{SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped} {
-		if _, err := db.MineTopKWith(2, false, TopKOptions{Semantics: s}); !errors.Is(err, ErrInvalidOptions) {
+		if _, err := db.Mine(Options{TopK: 2, Semantics: s}); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("top-k × %s: %v, want ErrInvalidOptions", s, err)
 		}
 	}
-	if _, err := db.MineTopKWith(2, false, TopKOptions{Semantics: Semantics(42)}); !errors.Is(err, ErrUnknownSemantics) {
+	if _, err := db.Mine(Options{TopK: 2, Semantics: Semantics(42)}); !errors.Is(err, ErrUnknownSemantics) {
 		t.Error("top-k with unknown semantics: want ErrUnknownSemantics")
 	}
 }
