@@ -15,7 +15,8 @@
 // -semantics selects the occurrence semantics: repetitive (default),
 // nonoverlap (disjoint occurrences), compressed (CRGSgrow representative
 // patterns, tuned with -compress-delta), or gapped (gap-constrained,
-// tuned with -mingap/-maxgap).
+// tuned with -mingap/-maxgap). -workers parallelizes every mode; the
+// output is identical to a single-worker run.
 // The serve subcommand starts the long-running mining service instead
 // (same daemon as cmd/reprod):
 //
@@ -33,12 +34,6 @@
 // events to that sequence):
 //
 //	gsgrow append -addr localhost:8372 -db mydb -input delta.txt -format tokens
-//
-// The loadgen subcommand drives a running service's mine endpoint at a
-// configurable concurrency and reports throughput and latency percentiles
-// (see the README's "Measuring on your hardware"):
-//
-//	gsgrow loadgen -addr localhost:8372 -db bench -upload db.txt -topk 100 -c 16 -n 500
 package main
 
 import (
@@ -68,13 +63,6 @@ func main() {
 		}
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		if err := runLoadgen(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "gsgrow loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && (os.Args[1] == "inspect" || os.Args[1] == "compact" || os.Args[1] == "promote") {
 		if err := runStorage(os.Args[1], os.Args[2:]); err != nil {
 			fmt.Fprintf(os.Stderr, "gsgrow %s: %v\n", os.Args[1], err)
@@ -98,7 +86,7 @@ func main() {
 	flag.IntVar(&cfg.Top, "top", 0, "print only the first N patterns (0 = all)")
 	flag.IntVar(&cfg.TopK, "topk", 0, "mine the K highest-support patterns instead of using -minsup")
 	flag.IntVar(&cfg.Workers, "workers", 1, "parallel mining fan-out")
-	flag.StringVar(&cfg.Semantics, "semantics", "repetitive", "occurrence semantics: repetitive, nonoverlap, compressed, gapped")
+	flag.StringVar(&cfg.Semantics, "semantics", "repetitive", "occurrence semantics: repetitive, nonoverlap, compressed, gapped (all honour -workers)")
 	flag.IntVar(&cfg.MinGap, "mingap", 0, "minimum gap between consecutive events (-semantics gapped)")
 	flag.IntVar(&cfg.MaxGap, "maxgap", 0, "maximum gap between consecutive events (-semantics gapped)")
 	flag.Float64Var(&cfg.CompressDelta, "compress-delta", 0, "cover tolerance for -semantics compressed (0 = default 0.1)")
@@ -206,41 +194,6 @@ func runAppend(args []string) error {
 		in = f
 	}
 	return cli.Append(cfg, in, os.Stdout)
-}
-
-// runLoadgen drives a running service's mine endpoint at configurable
-// concurrency and reports throughput + latency percentiles; with -upload
-// it first stands up the target database from a local file:
-//
-//	gsgrow loadgen -addr localhost:8372 -db bench -upload db.txt -topk 100 -c 16 -n 500
-func runLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	var cfg cli.LoadgenConfig
-	var upload string
-	fs.StringVar(&cfg.Addr, "addr", "localhost:8372", "address of the running service")
-	fs.StringVar(&cfg.DB, "db", "", "target database name")
-	fs.IntVar(&cfg.Requests, "n", 100, "total mine requests to send")
-	fs.IntVar(&cfg.Concurrency, "c", 8, "concurrent clients")
-	fs.DurationVar(&cfg.Duration, "duration", 0, "stop issuing after this long (0 = run all -n requests)")
-	fs.IntVar(&cfg.TopK, "topk", 0, "top-k mine request (exactly one of -topk/-minsup)")
-	fs.IntVar(&cfg.MinSup, "minsup", 0, "threshold mine request (exactly one of -topk/-minsup)")
-	fs.BoolVar(&cfg.Closed, "closed", false, "request closed patterns")
-	fs.IntVar(&cfg.Workers, "workers", 0, "per-request mining workers (0 = server default)")
-	fs.StringVar(&cfg.Format, "format", "tokens", "format of the -upload file")
-	fs.StringVar(&upload, "upload", "", "upload this file as -db before driving load (empty = db must exist)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var in io.Reader
-	if upload != "" {
-		f, err := os.Open(upload)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	return cli.Loadgen(context.Background(), cfg, in, os.Stdout)
 }
 
 func run(input string, cfg cli.MineConfig) error {

@@ -60,8 +60,9 @@
 //     Options.MaxPatterns caps the representative list.
 //   - SemanticsGapped: gap-constrained mining — Options.MinGap and
 //     Options.MaxGap bound the gap between consecutive pattern events,
-//     and per-sequence support is a max-flow computation. Sequential
-//     only, no instance collection, no closed mode.
+//     and per-sequence support is a max-flow computation. It runs on the
+//     same kernel and scheduler as the other modes (so Workers applies),
+//     without instance collection or closed mode.
 //
 // Invalid combinations (closed × nonoverlap, top-k × anything
 // non-repetitive, gap bounds without SemanticsGapped, δ outside [0,1),

@@ -24,8 +24,9 @@ import (
 //	                                        the semantics strategies —
 //	                                        strategies must stay free of
 //	                                        server/cli/store imports)
-//	internal/gapped stdlib + internal/seq  (gap-constrained miner; same
-//	                                        strategy-layer constraint)
+//	internal/gapped stdlib + internal/seq  (gap-constrained strategy of
+//	                + internal/core         the kernel; same strategy-layer
+//	                                        constraint)
 //	internal/store  anything below it      (storage engine; checked to
 //	                                        stay off core and server)
 //	internal/repl   storage stack only     (replication transport; must
@@ -44,7 +45,8 @@ var archRules = []struct {
 		"repro/internal/seq": true,
 	}},
 	{dir: "../gapped", allowed: map[string]bool{
-		"repro/internal/seq": true,
+		"repro/internal/core": true,
+		"repro/internal/seq":  true,
 	}},
 	{dir: "../store", allowed: map[string]bool{
 		"repro/internal/seq": true,

@@ -68,7 +68,7 @@ func TestMineSemanticsValidation(t *testing.T) {
 		{Format: "chars", MinSup: 2, Semantics: "nonoverlap", Closed: true},     // no closure theory
 		{Format: "chars", MinSup: 2, Semantics: "gapped", Closed: true},         //
 		{Format: "chars", MinSup: 2, Semantics: "gapped", Instances: true},      // no instance sets
-		{Format: "chars", MinSup: 2, Semantics: "gapped", Workers: 4},           // sequential only
+		{Format: "chars", MinSup: 2, Semantics: "gapped", MinGap: -1},           // negative gap
 		{Format: "chars", MinSup: 2, Semantics: "gapped", MinGap: 2, MaxGap: 1}, // inverted range
 	}
 	for i, cfg := range bad {

@@ -79,8 +79,9 @@ type Options struct {
 	// Semantics selects the occurrence-semantics strategy. nil (the zero
 	// value) and Repetitive are equivalent and run the paper's
 	// GSgrow/CloGSgrow behavior on the inlined hot path; NonOverlapping
-	// and Compressed are the built-in alternatives. See semantics.go for
-	// the strategy contract.
+	// and Compressed are the built-in alternatives, and internal/gapped
+	// supplies the gap-constrained one. See semantics.go for the strategy
+	// contract.
 	Semantics Semantics
 
 	// CompressDelta is the support tolerance δ of the Compressed strategy

@@ -7,15 +7,20 @@
 // pairwise non-overlapping gap-valid instances (overlap as in the paper's
 // Definition 2.3).
 //
-// Two properties of the unconstrained problem break under gap constraints,
-// and this package handles both exactly rather than approximately:
+// The constraint is one more occurrence semantics of the mining kernel
+// (Semantics, a core.Semantics), so gapped mining runs on the same DFS,
+// candidate lists, pattern budget, cancellation and work-stealing
+// scheduler as every other mode. Two properties of the unconstrained
+// problem break under gap constraints, and the strategy handles both
+// exactly rather than approximately:
 //
 //   - Greedy leftmost instance growth (INSgrow) is no longer optimal: in
 //     S = AAB with MaxGap = 0, the leftmost A cannot reach the B, but the
-//     second A can. Support is therefore computed as maximum node-disjoint
-//     paths in the gap-constrained occurrence DAG — a unit-capacity max
-//     flow per sequence, polynomial like the paper's greedy but without
-//     relying on the exchange argument that gap constraints invalidate.
+//     second A can. The driver set therefore holds every gap-valid end
+//     position, and support is maximum node-disjoint paths in the
+//     gap-constrained occurrence DAG — a unit-capacity max flow per
+//     sequence, polynomial like the paper's greedy but without relying on
+//     the exchange argument that gap constraints invalidate.
 //
 //   - The full Apriori property fails: deleting a middle event of a
 //     pattern merges two gaps and can invalidate instances, so a
@@ -27,364 +32,250 @@
 package gapped
 
 import (
-	"context"
 	"fmt"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/seq"
 )
 
-// Options configures a gap-constrained mining run.
-type Options struct {
-	// MinSupport is the support threshold (>= 1).
-	MinSupport int
-	// MinGap and MaxGap bound the number of events strictly between
-	// consecutive pattern events. MaxGap must be >= MinGap >= 0.
-	// (MinGap = 0, MaxGap = 0 mines contiguous substrings.)
+// Semantics is gap-constrained repetitive support as a kernel strategy.
+// MinGap and MaxGap bound the number of events strictly between
+// consecutive pattern events (0 <= MinGap <= MaxGap; both 0 mines
+// contiguous substrings).
+//
+// Its driver set holds, per sequence in ascending order, the positions
+// where some gap-valid instance of the pattern ends (Inst.Last; First is
+// unused). Non-overlapping instances end at distinct positions, so the
+// set's size bounds the support from above, as the kernel's branch prune
+// requires.
+type Semantics struct {
 	MinGap, MaxGap int
-	// MaxPatternLength bounds pattern length; 0 = unbounded.
-	MaxPatternLength int
-	// MaxPatterns stops the run early; 0 = unbounded.
-	MaxPatterns int
-	// Ctx, when non-nil, cancels the run: the DFS polls it periodically
-	// and returns the patterns found so far with Truncated set — the same
-	// partial-result contract as the core miners.
-	Ctx context.Context
-	// OnPattern, when non-nil, streams every emitted pattern. Returning
-	// false stops the run (marked Truncated). Patterns are still
-	// accumulated in Result.Patterns.
-	OnPattern func(Pattern) bool
 }
 
-// Validate reports whether the options are usable.
-func (o Options) Validate() error {
-	if o.MinSupport < 1 {
-		return fmt.Errorf("gapped: MinSupport must be >= 1, got %d", o.MinSupport)
-	}
-	if o.MinGap < 0 || o.MaxGap < o.MinGap {
-		return fmt.Errorf("gapped: need 0 <= MinGap <= MaxGap, got [%d, %d]", o.MinGap, o.MaxGap)
-	}
-	if o.MaxPatternLength < 0 || o.MaxPatterns < 0 {
-		return fmt.Errorf("gapped: negative length/pattern bounds")
+// validate reports whether the gap range is usable.
+func (s Semantics) validate() error {
+	if s.MinGap < 0 || s.MaxGap < s.MinGap {
+		return fmt.Errorf("gapped: need 0 <= MinGap <= MaxGap, got [%d, %d]", s.MinGap, s.MaxGap)
 	}
 	return nil
 }
 
-// Pattern is a mined gap-constrained pattern.
-type Pattern struct {
-	Events  []seq.EventID
-	Support int
+// Name is the wire/flag name of the semantics.
+func (Semantics) Name() string { return "gapped" }
+
+// Singleton appends every occurrence of e: a single-event instance has no
+// gap to respect.
+func (Semantics) Singleton(dst core.Set, ix *seq.Index, e seq.EventID) core.Set {
+	for i := 0; i < ix.DB().NumSequences(); i++ {
+		for _, p := range ix.Positions(i, e) {
+			dst = append(dst, core.Inst{Seq: int32(i), Last: p})
+		}
+	}
+	return dst
 }
 
-// Result is the output of Mine.
-type Result struct {
-	Patterns  []Pattern
-	Truncated bool
-	Duration  time.Duration
-	// FlowCalls counts exact support computations (max-flow runs).
-	FlowCalls int
-}
-
-// Mine returns every pattern whose gap-constrained repetitive support
-// reaches opt.MinSupport. Patterns are emitted in DFS preorder over
-// ascending event IDs.
-func Mine(db *seq.DB, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	m := &gapMiner{db: db, opt: opt, res: &Result{}}
-	if opt.Ctx != nil {
-		select {
-		case <-opt.Ctx.Done():
-			m.stopped = true
-			m.res.Truncated = true
-		default:
+// Grow appends the gap-valid end positions of pattern∘e given those of
+// pattern: q is one iff S[q] = e and some end p of I in the same sequence
+// satisfies MinGap <= q-p-1 <= MaxGap. Both lists ascend, so a two-pointer
+// sweep over the window of ends reaching q costs O(|ends| + |positions of
+// e|) per sequence.
+func (s Semantics) Grow(dst core.Set, ix *seq.Index, I core.Set, e seq.EventID) core.Set {
+	for start := 0; start < len(I); {
+		si := I[start].Seq
+		end := start
+		for end < len(I) && I[end].Seq == si {
+			end++
 		}
-	}
-	// Seed: all distinct events with their occurrence lists. A singleton
-	// pattern has no gaps, so its support is its occurrence count.
-	occ := make(map[seq.EventID][][]int32) // event -> per-sequence end positions
-	for i, s := range db.Seqs {
-		for p := 1; p <= len(s); p++ {
-			e := s.At(p)
-			if occ[e] == nil {
-				occ[e] = make([][]int32, len(db.Seqs))
-			}
-			occ[e][i] = append(occ[e][i], int32(p))
-		}
-	}
-	events := make([]seq.EventID, 0, len(occ))
-	for e := range occ {
-		events = append(events, e)
-	}
-	sortEventIDs(events)
-	m.events = events
-	for _, e := range events {
-		if m.stopped {
-			break
-		}
-		ends := occ[e]
-		total := 0
-		for _, list := range ends {
-			total += len(list)
-		}
-		if total < opt.MinSupport {
-			continue
-		}
-		m.pattern = append(m.pattern[:0], e)
-		m.chain = append(m.chain[:0], ends)
-		m.grow(total)
-		if m.stopped {
-			break
-		}
-	}
-	m.res.Duration = time.Since(start)
-	return m.res, nil
-}
-
-type gapMiner struct {
-	db      *seq.DB
-	opt     Options
-	events  []seq.EventID
-	pattern []seq.EventID
-	// chain[j] holds, per sequence, the ascending gap-valid end positions
-	// of the prefix pattern[:j+1] (positions where some gap-valid instance
-	// of the prefix ends). This is the gap-constrained analogue of a
-	// projected database.
-	chain   [][][]int32
-	res     *Result
-	stopped bool
-	tick    int // nodes since the last Ctx poll
-}
-
-// ctxPoll is the amortized cancellation check: it polls Options.Ctx every
-// 64 DFS nodes (support computations dominate a node's cost by orders of
-// magnitude, so the abort latency stays small) and marks the run stopped
-// and truncated when the context is done.
-func (m *gapMiner) ctxPoll() bool {
-	if m.opt.Ctx == nil || m.stopped {
-		return m.stopped
-	}
-	m.tick++
-	if m.tick < 64 {
-		return false
-	}
-	m.tick = 0
-	select {
-	case <-m.opt.Ctx.Done():
-		m.stopped = true
-		m.res.Truncated = true
-		return true
-	default:
-		return false
-	}
-}
-
-// grow handles the current prefix, whose per-sequence end lists are on top
-// of the chain and whose total end count is endCount (an upper bound on
-// support, since non-overlapping instances end at distinct positions).
-func (m *gapMiner) grow(endCount int) {
-	if m.ctxPoll() {
-		return
-	}
-	sup := m.support()
-	if sup < m.opt.MinSupport {
-		return
-	}
-	p := Pattern{
-		Events:  append([]seq.EventID(nil), m.pattern...),
-		Support: sup,
-	}
-	m.res.Patterns = append(m.res.Patterns, p)
-	if m.opt.OnPattern != nil && !m.opt.OnPattern(p) {
-		m.stopped = true
-		m.res.Truncated = true
-		return
-	}
-	if m.opt.MaxPatterns > 0 && len(m.res.Patterns) >= m.opt.MaxPatterns {
-		m.stopped = true
-		m.res.Truncated = true
-		return
-	}
-	if m.opt.MaxPatternLength > 0 && len(m.pattern) >= m.opt.MaxPatternLength {
-		return
-	}
-	ends := m.chain[len(m.chain)-1]
-	for _, e := range m.events {
-		next, count := m.extendEnds(ends, e)
-		if count < m.opt.MinSupport {
-			continue // upper bound: support <= number of distinct ends
-		}
-		m.pattern = append(m.pattern, e)
-		m.chain = append(m.chain, next)
-		m.grow(count)
-		m.pattern = m.pattern[:len(m.pattern)-1]
-		m.chain = m.chain[:len(m.chain)-1]
-		if m.stopped {
-			return
-		}
-	}
-}
-
-// extendEnds computes the gap-valid end positions of prefix ∘ e from the
-// prefix's end positions: q is an end of the extension iff S[q] = e and
-// some prefix end p satisfies MinGap <= q-p-1 <= MaxGap. Both lists are
-// ascending; a two-pointer sweep gives O(|ends| + |seq|) per sequence.
-func (m *gapMiner) extendEnds(ends [][]int32, e seq.EventID) ([][]int32, int) {
-	out := make([][]int32, len(m.db.Seqs))
-	total := 0
-	for i, list := range ends {
-		if len(list) == 0 {
-			continue
-		}
-		s := m.db.Seqs[i]
-		lo, hi := 0, 0 // window of prefix ends reaching position q
-		var res []int32
-		for q := int(list[0]) + 1 + m.opt.MinGap; q <= len(s); q++ {
-			if s.At(q) != e {
+		ends := I[start:end]
+		start = end
+		lo, hi := 0, 0
+		for _, q := range ix.Positions(int(si), e) {
+			// The ends reaching q are those in [q-1-MaxGap, q-1-MinGap].
+			loBound, hiBound := int(q)-1-s.MaxGap, int(q)-1-s.MinGap
+			if hiBound < int(ends[0].Last) {
 				continue
 			}
-			// valid p range: q-1-MaxGap <= p <= q-1-MinGap
-			loBound := int32(q - 1 - m.opt.MaxGap)
-			hiBound := int32(q - 1 - m.opt.MinGap)
-			for lo < len(list) && list[lo] < loBound {
+			for lo < len(ends) && int(ends[lo].Last) < loBound {
 				lo++
+			}
+			if lo == len(ends) {
+				break // every end is too far behind q and all later positions
 			}
 			if hi < lo {
 				hi = lo
 			}
-			for hi < len(list) && list[hi] <= hiBound {
+			for hi < len(ends) && int(ends[hi].Last) <= hiBound {
 				hi++
 			}
 			if lo < hi {
-				res = append(res, int32(q))
+				dst = append(dst, core.Inst{Seq: si, Last: q})
 			}
 		}
-		out[i] = res
-		total += len(res)
 	}
-	return out, total
+	return dst
 }
 
-// support computes the exact gap-constrained repetitive support of the
-// current pattern: per sequence, maximum node-disjoint paths through the
-// layered gap-valid occurrence DAG (layer j = gap-valid end positions of
-// pattern[:j+1]); across sequences, supports add up.
-func (m *gapMiner) support() int {
-	if len(m.pattern) == 1 {
+// Support counts the pattern's gap-constrained support: per sequence of I,
+// the maximum number of node-disjoint paths through the layered gap-valid
+// occurrence DAG (layer j = the gap-valid ends of pattern[:j+1], rebuilt
+// with Singleton and Grow for that sequence only); across sequences,
+// supports add up. A sequence holding a single end contributes exactly 1
+// without a flow: some gap-valid instance ends there, and no two can.
+func (s Semantics) Support(ix *seq.Index, pattern []seq.EventID, I core.Set) int {
+	if len(pattern) == 1 {
 		// No gaps to respect: every occurrence is an instance and all
 		// single-event instances are pairwise non-overlapping.
-		total := 0
-		for _, list := range m.chain[0] {
-			total += len(list)
-		}
-		return total
+		return len(I)
 	}
-	m.res.FlowCalls++
+	var sc flowScratch
 	total := 0
-	for i := range m.db.Seqs {
-		total += m.seqFlow(i)
+	for start := 0; start < len(I); {
+		si := I[start].Seq
+		end := start
+		for end < len(I) && I[end].Seq == si {
+			end++
+		}
+		if end-start == 1 {
+			total++
+		} else {
+			total += s.seqFlow(ix, si, pattern, &sc)
+		}
+		start = end
 	}
 	return total
 }
 
-func (m *gapMiner) seqFlow(i int) int {
-	depth := len(m.pattern)
-	layers := make([][]int32, depth)
-	for j := 0; j < depth; j++ {
-		layers[j] = m.chain[j][i]
-		if len(layers[j]) == 0 {
-			return 0
-		}
+// Instances is not implemented: a maximum set of gap-valid instances is a
+// decomposition of the max flow, which no caller reports (the public API
+// rejects CollectInstances under gapped semantics). It returns nil.
+func (Semantics) Instances(*seq.Index, []seq.EventID) core.FullSet { return nil }
+
+// SupportsClosed is false: the closure machinery reasons about leftmost
+// sets, which gap-constrained growth does not produce.
+func (Semantics) SupportsClosed() bool { return false }
+
+// SearchOptions runs the caller's options unchanged.
+func (Semantics) SearchOptions(opt core.Options) core.Options { return opt }
+
+// Finalize returns the merged result unchanged.
+func (Semantics) Finalize(_ *seq.Index, _ core.Options, res *core.Result) *core.Result {
+	return res
+}
+
+// flowScratch holds the buffers of one Support call, reused across its
+// sequences.
+type flowScratch struct {
+	layers core.Set // every layer of one sequence, back to back
+	offset []int    // layer j is layers[offset[j]:offset[j+1]]
+	g      flow
+}
+
+// seqFlow computes the support of pattern within sequence si.
+func (s Semantics) seqFlow(ix *seq.Index, si int32, pattern []seq.EventID, sc *flowScratch) int {
+	sc.layers = sc.layers[:0]
+	for _, p := range ix.Positions(int(si), pattern[0]) {
+		sc.layers = append(sc.layers, core.Inst{Seq: si, Last: p})
 	}
-	offset := make([]int, depth+1)
-	for j := 0; j < depth; j++ {
-		offset[j+1] = offset[j] + len(layers[j])
+	sc.offset = append(sc.offset[:0], 0, len(sc.layers))
+	for j := 1; j < len(pattern); j++ {
+		prev := sc.layers[sc.offset[j-1]:sc.offset[j]]
+		sc.layers = s.Grow(sc.layers, ix, prev, pattern[j])
+		sc.offset = append(sc.offset, len(sc.layers))
 	}
-	g := newFlow(2 + 2*offset[depth])
-	in := func(j, k int) int { return 2 + 2*(offset[j]+k) }
-	out := func(j, k int) int { return in(j, k) + 1 }
-	for k := range layers[0] {
-		g.edge(0, in(0, k))
+	depth := len(pattern)
+	g := &sc.g
+	g.reset(2 + 2*len(sc.layers))
+	// Node 0 is the source, node 1 the sink; the k-th end of the whole
+	// layer buffer splits into in-node 2+2k and out-node 3+2k so that each
+	// end carries at most one path.
+	for k := sc.offset[0]; k < sc.offset[1]; k++ {
+		g.edge(0, 2+2*k)
 	}
 	for j := 0; j < depth; j++ {
-		for k, p := range layers[j] {
-			g.edge(in(j, k), out(j, k))
+		for k := sc.offset[j]; k < sc.offset[j+1]; k++ {
+			g.edge(2+2*k, 3+2*k)
 			if j == depth-1 {
-				g.edge(out(j, k), 1)
+				g.edge(3+2*k, 1)
 				continue
 			}
-			for k2, q := range layers[j+1] {
-				gap := int(q) - int(p) - 1
-				if gap < m.opt.MinGap {
+			p := int(sc.layers[k].Last)
+			for k2 := sc.offset[j+1]; k2 < sc.offset[j+2]; k2++ {
+				gap := int(sc.layers[k2].Last) - p - 1
+				if gap < s.MinGap {
 					continue
 				}
-				if gap > m.opt.MaxGap {
-					break // layers are ascending; later q only larger
+				if gap > s.MaxGap {
+					break // layers are ascending; later ends only larger
 				}
-				g.edge(out(j, k), in(j+1, k2))
+				g.edge(3+2*k, 2+2*k2)
 			}
 		}
 	}
 	return g.maxflow(0, 1)
 }
 
+// Options configures Mine.
+type Options struct {
+	// MinSupport is the support threshold (>= 1).
+	MinSupport int
+	// MinGap and MaxGap are Semantics.MinGap and Semantics.MaxGap.
+	MinGap, MaxGap int
+	// MaxPatternLength bounds pattern length; 0 = unbounded.
+	MaxPatternLength int
+	// MaxPatterns stops the run early; 0 = unbounded.
+	MaxPatterns int
+}
+
+// Mine returns every pattern whose gap-constrained repetitive support
+// reaches opt.MinSupport, in DFS preorder over ascending event IDs: one
+// sequential kernel run under Semantics over a fresh index of db.
+func Mine(db *seq.DB, opt Options) (*core.Result, error) {
+	sem := Semantics{MinGap: opt.MinGap, MaxGap: opt.MaxGap}
+	if err := sem.validate(); err != nil {
+		return nil, err
+	}
+	return core.Mine(seq.NewIndex(db), core.Options{
+		MinSupport:       opt.MinSupport,
+		MaxPatternLength: opt.MaxPatternLength,
+		MaxPatterns:      opt.MaxPatterns,
+		Semantics:        sem,
+	})
+}
+
 // Support computes the gap-constrained repetitive support of one pattern
-// without mining, for callers and tests.
-func Support(db *seq.DB, pattern []seq.EventID, minGap, maxGap int) (int, error) {
-	opt := Options{MinSupport: 1, MinGap: minGap, MaxGap: maxGap}
-	if err := opt.Validate(); err != nil {
+// without mining: the pattern's driver set grown event by event, then
+// counted.
+func Support(ix *seq.Index, pattern []seq.EventID, minGap, maxGap int) (int, error) {
+	sem := Semantics{MinGap: minGap, MaxGap: maxGap}
+	if err := sem.validate(); err != nil {
 		return 0, err
 	}
 	if len(pattern) == 0 {
 		return 0, nil
 	}
-	m := &gapMiner{db: db, opt: opt, res: &Result{}}
-	// Build the chain of end lists prefix by prefix.
-	ends := make([][]int32, len(db.Seqs))
-	for i, s := range db.Seqs {
-		for p := 1; p <= len(s); p++ {
-			if s.At(p) == pattern[0] {
-				ends[i] = append(ends[i], int32(p))
-			}
-		}
+	I := sem.Singleton(nil, ix, pattern[0])
+	for _, e := range pattern[1:] {
+		I = sem.Grow(nil, ix, I, e)
 	}
-	m.pattern = pattern[:1]
-	m.chain = append(m.chain, ends)
-	for j := 1; j < len(pattern); j++ {
-		next, _ := m.extendEnds(m.chain[j-1], pattern[j])
-		m.chain = append(m.chain, next)
-		m.pattern = pattern[:j+1]
-	}
-	return m.support(), nil
-}
-
-func sortEventIDs(a []seq.EventID) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+	return sem.Support(ix, pattern, I), nil
 }
 
 // flow is a minimal unit-capacity max-flow (BFS augmenting paths), local to
-// this package so gapped does not depend on the test oracle in verify.
+// this package so gapped does not depend on the test oracle in verify. Its
+// buffers are reused across reset calls.
 type flow struct {
 	head, next, to []int
 	cap            []int8
+	prev, queue    []int
 }
 
-func newFlow(n int) *flow {
-	h := make([]int, n)
-	for i := range h {
-		h[i] = -1
+// reset empties the graph and sizes it to n nodes.
+func (g *flow) reset(n int) {
+	g.head = g.head[:0]
+	for i := 0; i < n; i++ {
+		g.head = append(g.head, -1)
 	}
-	return &flow{head: h}
+	g.next, g.to, g.cap = g.next[:0], g.to[:0], g.cap[:0]
 }
 
 func (g *flow) edge(u, v int) {
@@ -400,18 +291,18 @@ func (g *flow) edge(u, v int) {
 
 func (g *flow) maxflow(s, t int) int {
 	total := 0
-	prev := make([]int, len(g.head))
 	for {
-		for i := range prev {
-			prev[i] = -1
+		g.prev = g.prev[:0]
+		for range g.head {
+			g.prev = append(g.prev, -1)
 		}
+		prev := g.prev
 		prev[s] = -2
-		queue := []int{s}
+		queue := append(g.queue[:0], s)
 		found := false
 	bfs:
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
 			for e := g.head[u]; e != -1; e = g.next[e] {
 				v := g.to[e]
 				if g.cap[e] > 0 && prev[v] == -1 {
@@ -424,6 +315,7 @@ func (g *flow) maxflow(s, t int) int {
 				}
 			}
 		}
+		g.queue = queue
 		if !found {
 			return total
 		}

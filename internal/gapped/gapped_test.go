@@ -2,6 +2,8 @@ package gapped
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +25,11 @@ func mkPat(db *seq.DB, s string) []seq.EventID {
 		out[i] = db.Dict.Intern(string(s[i]))
 	}
 	return out
+}
+
+// support is Support over a fresh index of db.
+func support(db *seq.DB, pattern []seq.EventID, minGap, maxGap int) (int, error) {
+	return Support(seq.NewIndex(db), pattern, minGap, maxGap)
 }
 
 // bruteGapSupport enumerates gap-valid landmarks per sequence and finds the
@@ -106,7 +113,7 @@ func TestGreedyWouldFail(t *testing.T) {
 	// support is 1 (greedy leftmost growth from A1 would find 0 for the
 	// chain through A1, which is why this package uses max flow).
 	db := mkDB("AAB")
-	got, err := Support(db, mkPat(db, "AB"), 0, 0)
+	got, err := support(db, mkPat(db, "AB"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +149,7 @@ func TestSupportGoldValues(t *testing.T) {
 	}
 	for _, c := range cases {
 		db := mkDB(c.seqs...)
-		got, err := Support(db, mkPat(db, c.pattern), c.minGap, c.maxGap)
+		got, err := support(db, mkPat(db, c.pattern), c.minGap, c.maxGap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +165,13 @@ func TestSupportGoldValues(t *testing.T) {
 
 func TestSupportValidation(t *testing.T) {
 	db := mkDB("AB")
-	if _, err := Support(db, mkPat(db, "AB"), -1, 2); err == nil {
+	if _, err := support(db, mkPat(db, "AB"), -1, 2); err == nil {
 		t.Error("negative MinGap accepted")
 	}
-	if _, err := Support(db, mkPat(db, "AB"), 3, 2); err == nil {
+	if _, err := support(db, mkPat(db, "AB"), 3, 2); err == nil {
 		t.Error("inverted gap range accepted")
 	}
-	got, err := Support(db, nil, 0, 2)
+	got, err := support(db, nil, 0, 2)
 	if err != nil || got != 0 {
 		t.Errorf("empty pattern: %d, %v", got, err)
 	}
@@ -207,7 +214,7 @@ func TestPropertySupportMatchesBrute(t *testing.T) {
 		}
 		minGap := r.Intn(2)
 		maxGap := minGap + r.Intn(4)
-		got, err := Support(db, pattern, minGap, maxGap)
+		got, err := support(db, pattern, minGap, maxGap)
 		if err != nil {
 			return false
 		}
@@ -250,7 +257,7 @@ func TestPropertyUnboundedGapMatchesCore(t *testing.T) {
 		for i := range pattern {
 			pattern[i] = seq.EventID(r.Intn(db.Dict.Size()))
 		}
-		got, err := Support(db, pattern, 0, maxLen+1)
+		got, err := support(db, pattern, 0, maxLen+1)
 		if err != nil {
 			return false
 		}
@@ -360,8 +367,8 @@ func TestMineTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Patterns) != 3 || !res.Truncated {
-		t.Errorf("patterns=%d truncated=%v", len(res.Patterns), res.Truncated)
+	if len(res.Patterns) != 3 || !res.Stats.Truncated {
+		t.Errorf("patterns=%d truncated=%v", len(res.Patterns), res.Stats.Truncated)
 	}
 }
 
@@ -370,11 +377,11 @@ func TestMineTruncation(t *testing.T) {
 // super-pattern once gaps are bounded.
 func TestAprioriFailsUnderGaps(t *testing.T) {
 	db := mkDB("ACB")
-	acb, err := Support(db, mkPat(db, "ACB"), 0, 0)
+	acb, err := support(db, mkPat(db, "ACB"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := Support(db, mkPat(db, "AB"), 0, 0)
+	ab, err := support(db, mkPat(db, "AB"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +389,51 @@ func TestAprioriFailsUnderGaps(t *testing.T) {
 		t.Errorf("expected sup(ACB)=%d > sup(AB)=%d under gap=0 (Apriori violation)", acb, ab)
 	}
 	// Prefix anti-monotonicity still holds: sup(AC) >= sup(ACB).
-	ac, err := Support(db, mkPat(db, "AC"), 0, 0)
+	ac, err := support(db, mkPat(db, "AC"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ac < acb {
 		t.Errorf("prefix monotonicity violated: sup(AC)=%d < sup(ACB)=%d", ac, acb)
+	}
+}
+
+// TestGappedParallelMatchesSequential: on random databases the
+// work-stealing kernel returns the sequential gapped mine — patterns,
+// supports, order, NumPatterns and Truncated — at every worker count,
+// with and without a pattern budget.
+func TestGappedParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // let 4 and 8 workers run
+	r := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 40; iter++ {
+		db := seq.NewDB()
+		for i := 0; i < 2+r.Intn(6); i++ {
+			ev := make([]string, 5+r.Intn(30))
+			for j := range ev {
+				ev[j] = string(rune('A' + r.Intn(5)))
+			}
+			db.Add("", ev)
+		}
+		ix := seq.NewIndex(db)
+		minGap := r.Intn(2)
+		sem := Semantics{MinGap: minGap, MaxGap: minGap + r.Intn(3)}
+		for _, maxPatterns := range []int{0, 1 + r.Intn(20)} {
+			opt := core.Options{MinSupport: 2 + r.Intn(3), MaxPatterns: maxPatterns, Semantics: sem}
+			want, err := core.Mine(ix, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				got, err := core.MineParallel(ix, opt, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Patterns, got.Patterns) ||
+					want.NumPatterns != got.NumPatterns || want.Stats.Truncated != got.Stats.Truncated {
+					t.Fatalf("iter %d %+v maxPatterns=%d workers=%d: %d patterns (truncated %t), want %d (truncated %t)",
+						iter, sem, maxPatterns, workers, got.NumPatterns, got.Stats.Truncated, want.NumPatterns, want.Stats.Truncated)
+				}
+			}
+		}
 	}
 }

@@ -16,17 +16,38 @@ import (
 	"repro/internal/wal"
 )
 
-// storeSource adapts a test's primary store to the feed's Source.
+// storeSource adapts a test's primary store to the feed's Source. The
+// feed reads it from the HTTP server's goroutines while a test may swap
+// the store and epoch (replace), so both sit behind mu.
 type storeSource struct {
-	st    *store.Store
 	dir   string
+	mu    sync.Mutex
+	st    *store.Store
 	epoch string
 }
 
 func (s *storeSource) Dir() string        { return s.dir }
-func (s *storeSource) Generation() uint64 { return s.st.Current().Generation() }
-func (s *storeSource) Checkpoint() error  { return s.st.Checkpoint() }
-func (s *storeSource) Epoch() string      { return s.epoch }
+func (s *storeSource) Generation() uint64 { return s.store().Current().Generation() }
+func (s *storeSource) Checkpoint() error  { return s.store().Checkpoint() }
+
+func (s *storeSource) Epoch() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
+}
+
+func (s *storeSource) store() *store.Store {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.st
+}
+
+// replace points the source at a new store lineage.
+func (s *storeSource) replace(st *store.Store, epoch string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.st, s.epoch = st, epoch
+}
 
 // testPrimary is a minimal primary: a durable store plus an httptest
 // server exposing the replication feed.
@@ -198,8 +219,8 @@ func TestFollowerRebootstrapsOnEpochChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.st, p.src.st = st2, st2
-	p.src.epoch = "epoch-2"
+	p.st = st2
+	p.src.replace(st2, "epoch-2")
 	t.Cleanup(func() { st2.Close() })
 	if _, err := st2.Append([]store.Record{{Label: "fresh", Events: []string{"q", "r"}}}, true); err != nil {
 		t.Fatal(err)

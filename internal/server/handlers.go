@@ -421,7 +421,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		if stream {
 			streamOutcome(w, e, out)
 		} else {
-			writeJSON(w, http.StatusOK, buildResponse(e, out, true))
+			writeMineJSON(w, buildResponse(e, out, true))
 		}
 		return
 	}
@@ -479,7 +479,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		nw.summary(buildSummary(e, out, false))
 		return
 	}
-	writeJSON(w, http.StatusOK, buildResponse(e, out, false))
+	writeMineJSON(w, buildResponse(e, out, false))
+}
+
+// writeMineJSON writes a buffered mine response under one
+// streamWriteBudget deadline, as a replayed stream is written: a client
+// that stops reading a large result cannot pin the handler.
+func writeMineJSON(w http.ResponseWriter, resp mineResponse) {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(streamWriteBudget))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeMineError answers a run that failed or was aborted through its
@@ -546,12 +554,13 @@ type ndjsonLine struct {
 	Summary *mineSummary `json:"summary,omitempty"`
 }
 
-// streamWriteBudget bounds NDJSON writes. A client that stops reading
-// (but keeps the connection open) would otherwise block a write forever,
-// pinning the handler goroutine, its connection and, on a live stream, a
-// mining slot; with the deadline the write fails, a live run aborts, and
-// everything frees. Generous enough that no live client — however slow
-// its link — trips it between two small lines.
+// streamWriteBudget bounds mine response writes, NDJSON and buffered
+// alike. A client that stops reading (but keeps the connection open)
+// would otherwise block a write forever, pinning the handler goroutine,
+// its connection and, on a live stream, a mining slot; with the deadline
+// the write fails, a live run aborts, and everything frees. Generous
+// enough that no live client — however slow its link — trips it between
+// two small lines.
 const streamWriteBudget = 30 * time.Second
 
 // ndjsonWriter writes the lines of one NDJSON mine response, every write

@@ -161,7 +161,7 @@ func TestErrorStatusTaxonomy(t *testing.T) {
 		{"delta without compressed", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"compressDelta":0.2}`, http.StatusBadRequest},
 		{"delta out of range", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"compressed","compressDelta":1.5}`, http.StatusBadRequest},
 		{"gapped with instances", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"gapped","instances":true}`, http.StatusBadRequest},
-		{"gapped with workers", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"gapped","workers":4}`, http.StatusBadRequest},
+		{"gapped inverted gap range", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"gapped","minGap":3,"maxGap":1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		rec := doJSON(t, h, c.method, c.path, c.body)

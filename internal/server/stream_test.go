@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -67,5 +68,30 @@ func TestStreamWriteDeadlines(t *testing.T) {
 	}
 	if len(rec.deadlines) != 1 {
 		t.Errorf("cache-hit stream set %d write deadlines, want 1", len(rec.deadlines))
+	}
+}
+
+// TestBufferedWriteDeadlines: buffered (non-NDJSON) mine responses, fresh
+// and served from the cache, are written under one write deadline each,
+// like a cache-hit stream.
+func TestBufferedWriteDeadlines(t *testing.T) {
+	h := newHandler(t)
+	upload(t, h, "ex11", "chars", example11)
+	for _, wantCached := range []bool{false, true} {
+		rec := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/databases/ex11/mine", strings.NewReader(`{"closed":true,"minSupport":2}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var resp mineResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached != wantCached || len(resp.Patterns) == 0 {
+			t.Fatalf("cached=%t with %d patterns, want cached=%t", resp.Cached, len(resp.Patterns), wantCached)
+		}
+		if len(rec.deadlines) != 1 || !rec.deadlines[0].After(time.Now()) {
+			t.Errorf("cached=%t: write deadlines %v, want one in the future", wantCached, rec.deadlines)
+		}
 	}
 }

@@ -21,7 +21,7 @@ type mineRequest struct {
 	// thresholding; MinSupport is ignored.
 	TopK int `json:"topK"`
 	// Workers > 1 mines with that many goroutines — work-stealing DFS for
-	// GSgrow/CloGSgrow, sharded best-first search for top-k. Results are
+	// every threshold mode, sharded best-first search for top-k. Results are
 	// identical to the single-worker run in every mode. Requests above
 	// maxWorkers are rejected: per-worker state is allocated eagerly, so
 	// an unbounded client-chosen count would be a memory DoS vector.

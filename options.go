@@ -33,8 +33,8 @@ func (o Options) Validate() error {
 		return invalidOptions("CompressDelta must be in [0, 1), got %g", o.CompressDelta)
 	case o.Closed && (o.Semantics == SemanticsNonOverlapping || o.Semantics == SemanticsGapped):
 		return invalidOptions("closed mining is not defined under %s semantics", o.Semantics)
-	case o.Semantics == SemanticsGapped && o.Workers > 1:
-		return invalidOptions("the gapped miner is sequential (Workers must be <= 1)")
+	case o.Semantics == SemanticsGapped && (o.MinGap < 0 || o.MaxGap < o.MinGap):
+		return invalidOptions("need 0 <= MinGap <= MaxGap, got [%d, %d]", o.MinGap, o.MaxGap)
 	case o.Semantics == SemanticsGapped && o.CollectInstances:
 		return invalidOptions("CollectInstances is not supported under gapped semantics")
 	}

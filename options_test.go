@@ -56,7 +56,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"delta out of range", opts{MinSupport: 2, Semantics: repro.SemanticsCompressed, CompressDelta: 1.5}, repro.ErrInvalidOptions},
 		{"closed x nonoverlap", opts{MinSupport: 2, Closed: true, Semantics: repro.SemanticsNonOverlapping}, repro.ErrInvalidOptions},
 		{"closed x gapped", opts{MinSupport: 2, Closed: true, Semantics: repro.SemanticsGapped}, repro.ErrInvalidOptions},
-		{"gapped x workers", opts{MinSupport: 2, Semantics: repro.SemanticsGapped, Workers: 2}, repro.ErrInvalidOptions},
+		{"inverted gap range", opts{MinSupport: 2, Semantics: repro.SemanticsGapped, MinGap: 3, MaxGap: 1}, repro.ErrInvalidOptions},
+		{"negative minGap", opts{MinSupport: 2, Semantics: repro.SemanticsGapped, MinGap: -1}, repro.ErrInvalidOptions},
 		{"gapped x instances", opts{MinSupport: 2, Semantics: repro.SemanticsGapped, CollectInstances: true}, repro.ErrInvalidOptions},
 	}
 	for _, c := range invalid {
@@ -81,7 +82,7 @@ func TestOptionsValidate(t *testing.T) {
 		"CloTopK":           {TopK: 3, Closed: true, MaxPatternLength: 2},
 		"GSgrow-NonOverlap": {MinSupport: 2, Semantics: repro.SemanticsNonOverlapping, CollectInstances: true},
 		"CRGSgrow":          {MinSupport: 2, Semantics: repro.SemanticsCompressed, Closed: true, CompressDelta: 0.3},
-		"GapGSgrow":         {MinSupport: 2, Semantics: repro.SemanticsGapped, MinGap: 1, MaxGap: 2},
+		"GapGSgrow":         {MinSupport: 2, Semantics: repro.SemanticsGapped, MinGap: 1, MaxGap: 2, Workers: 2},
 	}
 	for algo, opt := range valid {
 		if got := opt.Algorithm(); got != algo {

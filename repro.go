@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gapped"
 	"repro/internal/seq"
 	"repro/internal/store"
 )
@@ -460,9 +459,9 @@ func (s *Snapshot) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, e
 }
 
 // run executes one query against this snapshot: the best-first top-k
-// search, the gap-constrained miner or the GSgrow kernel under the
-// query's semantics. Every mode exports its patterns the same way and
-// honours OnPattern and DiscardPatterns.
+// search or the GSgrow kernel under the query's semantics. Every mode
+// exports its patterns the same way and honours OnPattern and
+// DiscardPatterns.
 func (s *Snapshot) run(opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -479,8 +478,6 @@ func (s *Snapshot) run(opt Options) (*Result, error) {
 		if err == nil && emit != nil {
 			streamRanked(res, emit)
 		}
-	case opt.Semantics == SemanticsGapped:
-		res, err = mineGapped(s.s.DB(), opt, emit)
 	default:
 		res, err = core.MineParallel(s.s.Index(false), core.Options{
 			MinSupport:       opt.MinSupport,
@@ -491,7 +488,7 @@ func (s *Snapshot) run(opt Options) (*Result, error) {
 			Ctx:              opt.Ctx,
 			OnPattern:        emit,
 			DiscardPatterns:  opt.DiscardPatterns,
-			Semantics:        coreSemantics(opt.Semantics),
+			Semantics:        coreSemantics(opt),
 			CompressDelta:    opt.CompressDelta,
 		}, opt.Workers)
 	}
@@ -528,36 +525,6 @@ func streamRanked(res *core.Result, emit func(core.Pattern) bool) {
 			return
 		}
 	}
-}
-
-// mineGapped runs a SemanticsGapped query on the gap-constrained miner
-// (internal/gapped), which computes support by per-sequence max flow —
-// greedy leftmost growth is not optimal under gap constraints — and
-// adapts its result to the kernel's shape.
-func mineGapped(db *seq.DB, opt Options, emit func(core.Pattern) bool) (*core.Result, error) {
-	gopt := gapped.Options{
-		MinSupport:       opt.MinSupport,
-		MinGap:           opt.MinGap,
-		MaxGap:           opt.MaxGap,
-		MaxPatternLength: opt.MaxPatternLength,
-		MaxPatterns:      opt.MaxPatterns,
-		Ctx:              opt.Ctx,
-	}
-	if emit != nil {
-		gopt.OnPattern = func(p gapped.Pattern) bool { return emit(core.Pattern{Events: p.Events, Support: p.Support}) }
-	}
-	g, err := gapped.Mine(db, gopt)
-	if err != nil {
-		return nil, err
-	}
-	res := &core.Result{Patterns: make([]core.Pattern, len(g.Patterns)), NumPatterns: len(g.Patterns)}
-	for i, p := range g.Patterns {
-		res.Patterns[i] = core.Pattern{Events: p.Events, Support: p.Support}
-	}
-	res.Stats.Truncated = g.Truncated
-	res.Stats.Duration = g.Duration
-	res.Stats.WorkersRequested, res.Stats.WorkersEffective = 1, 1
-	return res, nil
 }
 
 func (s *Snapshot) exportPattern(p core.Pattern) Pattern {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/gapped"
 )
 
 // Semantics selects the occurrence semantics of a mining run: what counts
@@ -74,14 +75,16 @@ func ParseSemantics(name string) (Semantics, error) {
 	return 0, fmt.Errorf("repro: %w %q (want repetitive, nonoverlap, compressed, or gapped)", ErrUnknownSemantics, name)
 }
 
-// coreSemantics maps the public enum to the kernel's strategy value; the
-// gapped mode runs its own miner and never reaches the kernel.
-func coreSemantics(s Semantics) core.Semantics {
-	switch s {
+// coreSemantics maps the query's semantics to the kernel's strategy
+// value; the gapped strategy carries the query's gap range.
+func coreSemantics(o Options) core.Semantics {
+	switch o.Semantics {
 	case SemanticsNonOverlapping:
 		return core.NonOverlapping
 	case SemanticsCompressed:
 		return core.Compressed
+	case SemanticsGapped:
+		return gapped.Semantics{MinGap: o.MinGap, MaxGap: o.MaxGap}
 	default:
 		return nil
 	}

@@ -3,8 +3,10 @@ package repro
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/gapped"
 )
 
@@ -41,7 +43,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		{MinSupport: 1, MinGap: 1},          // gap bounds without gapped
 		{MinSupport: 1, CompressDelta: 0.2}, // delta without compressed
 		{MinSupport: 1, Semantics: SemanticsCompressed, CompressDelta: 1.5}, // delta out of range
-		{MinSupport: 1, Semantics: SemanticsGapped, Workers: 4},             // gapped is sequential
 		{MinSupport: 1, Semantics: SemanticsGapped, CollectInstances: true}, // gapped has no instance sets
 		{MinSupport: 1, Semantics: SemanticsGapped, MinGap: 3, MaxGap: 1},   // inverted gap range
 	}
@@ -66,45 +67,74 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestGapWrapperParity: the public gapped surface (Options.Semantics =
-// SemanticsGapped) wraps the gap-constrained miner without changing its
-// output: identical patterns, supports and order on the shipped fixtures,
+// TestGappedWorkerParity: the public gapped surface returns the
+// sequential gap-constrained mine (gapped.Mine) at every worker count —
+// identical patterns, supports and order, and the same NumPatterns and
+// Truncated — on the shipped fixtures and the benchmark's gap database,
 // with and without a pattern budget.
-func TestGapWrapperParity(t *testing.T) {
-	fixtures := map[string]Format{
+func TestGappedWorkerParity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // let 4 and 8 workers run
+	type input struct {
+		name   string
+		db     *Database
+		minSup int
+	}
+	var inputs []input
+	for path, format := range map[string]Format{
 		"testdata/example11.chars": Chars,
 		"testdata/traces.tokens":   Tokens,
-	}
-	for path, format := range fixtures {
+	} {
 		db, err := LoadFile(path, format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sdb := db.Snapshot().s.DB()
+		inputs = append(inputs, input{path, db, 2})
+	}
+	quest, err := datagen.Quest(datagen.QuestParams{D: 1, C: 12, N: 1, S: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gapDB := NewDatabase()
+	for i := 0; i < 200; i++ {
+		names := make([]string, len(quest.Seqs[i]))
+		for j, e := range quest.Seqs[i] {
+			names[j] = quest.Dict.Name(e)
+		}
+		gapDB.Add("", names)
+	}
+	inputs = append(inputs, input{"quest gap database", gapDB, 10})
+
+	for _, in := range inputs {
+		sdb := in.db.Snapshot().s.DB()
 		for _, gaps := range []struct{ min, max int }{{0, 0}, {0, 2}, {1, 3}} {
 			for _, maxPatterns := range []int{0, 3} {
-				kernel, err := gapped.Mine(sdb, gapped.Options{MinSupport: 2, MinGap: gaps.min, MaxGap: gaps.max, MaxPatterns: maxPatterns})
+				ref, err := gapped.Mine(sdb, gapped.Options{MinSupport: in.minSup, MinGap: gaps.min, MaxGap: gaps.max, MaxPatterns: maxPatterns})
 				if err != nil {
 					t.Fatal(err)
 				}
-				unified, err := db.Mine(Options{
-					MinSupport: 2, Semantics: SemanticsGapped, MinGap: gaps.min, MaxGap: gaps.max, MaxPatterns: maxPatterns,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]Pattern, len(kernel.Patterns))
-				for i, p := range kernel.Patterns {
+				want := make([]Pattern, len(ref.Patterns))
+				for i, p := range ref.Patterns {
 					want[i] = Pattern{Events: make([]string, len(p.Events)), Support: p.Support}
 					for j, e := range p.Events {
 						want[i].Events[j] = sdb.Dict.Name(e)
 					}
 				}
-				if !reflect.DeepEqual(want, unified.Patterns) {
-					t.Errorf("%s gaps [%d,%d] maxPatterns=%d: public surface and gapped miner disagree", path, gaps.min, gaps.max, maxPatterns)
-				}
-				if len(kernel.Patterns) != unified.NumPatterns || kernel.Truncated != unified.Truncated {
-					t.Errorf("%s gaps [%d,%d] maxPatterns=%d: result metadata disagrees", path, gaps.min, gaps.max, maxPatterns)
+				for _, workers := range []int{1, 2, 4, 8} {
+					got, err := in.db.Mine(Options{
+						MinSupport: in.minSup, Semantics: SemanticsGapped, MinGap: gaps.min, MaxGap: gaps.max,
+						MaxPatterns: maxPatterns, Workers: workers,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, got.Patterns) {
+						t.Errorf("%s gaps [%d,%d] maxPatterns=%d workers=%d: patterns differ from the sequential mine",
+							in.name, gaps.min, gaps.max, maxPatterns, workers)
+					}
+					if ref.NumPatterns != got.NumPatterns || ref.Stats.Truncated != got.Truncated {
+						t.Errorf("%s gaps [%d,%d] maxPatterns=%d workers=%d: NumPatterns/Truncated %d/%v, want %d/%v",
+							in.name, gaps.min, gaps.max, maxPatterns, workers, got.NumPatterns, got.Truncated, ref.NumPatterns, ref.Stats.Truncated)
+					}
 				}
 			}
 		}
@@ -210,7 +240,7 @@ func TestSemanticsParallelAgreement(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "ABCABCABCABC")
 	db.AddString("S2", "BCABCA")
-	for _, sem := range []Semantics{SemanticsRepetitive, SemanticsNonOverlapping, SemanticsCompressed} {
+	for _, sem := range []Semantics{SemanticsRepetitive, SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped} {
 		seqRes, err := db.Mine(Options{MinSupport: 2, Semantics: sem})
 		if err != nil {
 			t.Fatal(err)
