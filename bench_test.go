@@ -529,13 +529,11 @@ func BenchmarkDurableAppend(b *testing.B) {
 // appenders grows. Each op is ONE durably acknowledged single-record
 // append; `clients` goroutines race to claim ops from a shared counter,
 // so clients=1 is the single-appender latency (the adaptive window must
-// keep it within one commit window of the serialized path) and
+// keep it within one commit window of a lone fsync) and
 // clients=16 is the coalescing case — the committer packs concurrent
 // commits into one write + one fsync, reported directly as fsyncs/rec
-// (the acceptance floor is < 0.25 at clients=16). The nogroup variant
-// (CommitMaxBatch < 0) is the serialized before-number on identical
-// hardware, and fsync=interval bounds what any fsync=always scheme can
-// reach.
+// (the acceptance floor is < 0.25 at clients=16). fsync=interval bounds
+// what any fsync=always scheme can reach.
 func BenchmarkDurableAppendConcurrent(b *testing.B) {
 	rec := []Record{{Events: []string{"login", "view", "logout"}}}
 	run := func(b *testing.B, clients int, opt OpenOptions) {
@@ -576,9 +574,6 @@ func BenchmarkDurableAppendConcurrent(b *testing.B) {
 			run(b, clients, OpenOptions{Sync: SyncAlways})
 		})
 	}
-	b.Run("fsync=always-nogroup/clients=16", func(b *testing.B) {
-		run(b, 16, OpenOptions{Sync: SyncAlways, CommitMaxBatch: -1})
-	})
 	b.Run("fsync=interval/clients=16", func(b *testing.B) {
 		run(b, 16, OpenOptions{Sync: SyncInterval})
 	})

@@ -109,8 +109,6 @@ func runServe(args []string) error {
 	fs.StringVar(&cfg.FsyncPolicy, "fsync", "always", "WAL fsync policy for -data-dir: always, interval, never")
 	fs.DurationVar(&cfg.FsyncInterval, "fsync-interval", 0, "background fsync cadence under -fsync=interval (0 = default 100ms)")
 	fs.Int64Var(&cfg.CheckpointBytes, "checkpoint-bytes", 0, "WAL size triggering automatic compaction (0 = default 4MiB, negative disables)")
-	fs.IntVar(&cfg.CommitBatch, "commit-batch", 0, "max records coalesced into one WAL write+fsync under -fsync=always (0 = default 64, negative disables group commit)")
-	fs.DurationVar(&cfg.CommitWait, "commit-wait", 0, "max time a commit batch is held open for concurrent appenders (0 = default 1ms, negative disables waiting)")
 	fs.DurationVar(&cfg.MineTimeout, "mine-timeout", 0, "per-request mining deadline; runs exceeding it answer 503 (0 = unbounded)")
 	fs.IntVar(&cfg.MaxConcurrentMines, "max-concurrent-mines", 0, "cap on mining runs in flight; excess requests answer 429 (0 = unlimited)")
 	fs.StringVar(&cfg.ReplicateFrom, "replicate-from", "", "run as a read-only follower of the primary at this base URL (requires -data-dir; empty = primary)")

@@ -154,10 +154,8 @@
 // disk flush per record. The contract per record is unchanged — a nil
 // error from Append still means that exact record is on stable storage —
 // and a lone appender never waits out the window, so single-client
-// latency stays within one commit window of the unbatched path.
-// OpenOptions.CommitMaxBatch and CommitMaxWait tune the window (defaults
-// 64 records / 1ms; a negative CommitMaxBatch disables batching and
-// restores the serialized one-fsync-per-record path), and
+// latency stays within one commit window of a lone fsync. The window is
+// fixed: a batch closes at 64 records or 1ms, whichever comes first.
 // Database.Persistence reports CommitBatches and CommitRecords — the
 // HTTP persistence block and /readyz additionally derive fsyncsSaved —
 // so the achieved coalescing is observable in production.

@@ -44,15 +44,6 @@ type ServeConfig struct {
 	// CheckpointBytes triggers automatic WAL compaction when the log
 	// exceeds this size; 0 selects the 4 MiB default, negative disables.
 	CheckpointBytes int64
-	// CommitBatch tunes WAL group commit under -fsync always: concurrent
-	// appends are coalesced into one WAL write + one fsync of up to this
-	// many records. 0 selects the default (on, 64 records); negative
-	// disables coalescing.
-	CommitBatch int
-	// CommitWait bounds how long a commit batch is held open for
-	// stragglers once more appenders are en route; 0 selects the 1ms
-	// default, negative disables waiting.
-	CommitWait time.Duration
 	// MineTimeout bounds each mining run with a per-request deadline;
 	// runs that exceed it answer 503. 0 = unbounded (client cancellation
 	// and graceful shutdown still abort runs).
@@ -115,8 +106,6 @@ func Serve(ctx context.Context, cfg ServeConfig, out io.Writer) error {
 		Sync:               sync,
 		SyncInterval:       cfg.FsyncInterval,
 		CheckpointWALBytes: cfg.CheckpointBytes,
-		CommitMaxBatch:     cfg.CommitBatch,
-		CommitMaxWait:      cfg.CommitWait,
 		MineTimeout:        cfg.MineTimeout,
 		MaxConcurrentMines: cfg.MaxConcurrentMines,
 		ReplicateFrom:      cfg.ReplicateFrom,

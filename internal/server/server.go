@@ -71,12 +71,6 @@ type Config struct {
 	// prober of durable databases; see repro.OpenOptions.
 	ProbeBackoff    time.Duration
 	ProbeBackoffMax time.Duration
-	// CommitMaxBatch and CommitMaxWait tune WAL group commit under
-	// Sync=SyncAlways (concurrent appends coalesced into one fsync); see
-	// repro.OpenOptions. 0 = defaults (on, 64 records / 1ms), negative
-	// CommitMaxBatch disables coalescing.
-	CommitMaxBatch int
-	CommitMaxWait  time.Duration
 	// FS overrides the filesystem durable databases use; a test-only
 	// fault-injection hook (see repro.OpenOptions.FS). Nil = the OS.
 	FS vfs.FS
@@ -231,8 +225,6 @@ func New(cfg Config) (*Server, error) {
 			CheckpointWALBytes: cfg.CheckpointWALBytes,
 			ProbeBackoff:       cfg.ProbeBackoff,
 			ProbeBackoffMax:    cfg.ProbeBackoffMax,
-			CommitMaxBatch:     cfg.CommitMaxBatch,
-			CommitMaxWait:      cfg.CommitMaxWait,
 			FS:                 cfg.FS,
 		},
 		replicateFrom:  strings.TrimRight(cfg.ReplicateFrom, "/"),

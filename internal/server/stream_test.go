@@ -2,11 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
 )
 
 // deadlineRecorder is a ResponseWriter that supports write deadlines (as
@@ -93,5 +97,40 @@ func TestBufferedWriteDeadlines(t *testing.T) {
 		if len(rec.deadlines) != 1 || !rec.deadlines[0].After(time.Now()) {
 			t.Errorf("cached=%t: write deadlines %v, want one in the future", wantCached, rec.deadlines)
 		}
+	}
+}
+
+// TestParallelBudgetStream: a live NDJSON mine with workers > 1 under
+// maxPatterns writes exactly the patterns its summary counts — the ones
+// a buffered mine of the same query returns, in order — not every
+// pattern a worker found before the merge trimmed the budget.
+func TestParallelBudgetStream(t *testing.T) {
+	quest, err := datagen.Quest(datagen.QuestParams{D: 1, C: 20, N: 1, S: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body strings.Builder
+	for i, s := range quest.Seqs {
+		fmt.Fprintf(&body, "S%d:", i)
+		for _, e := range s {
+			body.WriteString(" " + quest.Dict.Name(e))
+		}
+		body.WriteByte('\n')
+	}
+	h := newHandler(t)
+	upload(t, h, "quest", "tokens", body.String())
+
+	rec := doJSON(t, h, "POST", "/v1/databases/quest/mine", `{"minSupport":10,"maxPatterns":3,"stream":true,"workers":2}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream: status %d: %s", rec.Code, rec.Body)
+	}
+	patterns, summary := decodeNDJSON(t, rec.Body.String())
+	if summary == nil || summary.Cached {
+		t.Fatalf("stream summary = %+v, want a live run", summary)
+	}
+	want := mineJSON(t, h, "quest", `{"minSupport":10,"maxPatterns":3}`)
+	if summary.NumPatterns != 3 || len(patterns) != summary.NumPatterns || !reflect.DeepEqual(patterns, want.Patterns) {
+		t.Fatalf("stream wrote %d pattern lines %v with numPatterns %d; buffered mine returned %v",
+			len(patterns), patterns, summary.NumPatterns, want.Patterns)
 	}
 }

@@ -230,10 +230,11 @@ type persistenceJSON struct {
 	// retries recovery. DegradedError is the root cause.
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradedError string `json:"degradedError,omitempty"`
-	// Group-commit counters (fsync=always): batches coalesced, records
-	// they carried (records/batches = achieved coalescing factor), and
-	// fsyncs saved versus one-fsync-per-append. Dashboards use
-	// fsyncsSaved to see the -commit-batch/-commit-wait window working.
+	// Commit counters: WAL batches written, records they carried, and
+	// fsyncs saved versus one-fsync-per-append. Under fsync=always each
+	// batch is one fsync, so records/batches is the achieved group-commit
+	// coalescing factor (the window is fixed at 64 records / 1ms) and
+	// dashboards use fsyncsSaved to see it working.
 	CommitBatches int64 `json:"commitBatches,omitempty"`
 	CommitRecords int64 `json:"commitRecords,omitempty"`
 	FsyncsSaved   int64 `json:"fsyncsSaved,omitempty"`
@@ -340,7 +341,7 @@ type readyDBJSON struct {
 	Name  string `json:"name"`
 	Ready bool   `json:"ready"`
 	// Role is "primary" or "follower"; a follower's Ready also reflects
-	// the replication lag gate (-max-lag-bytes / -max-lag-seconds).
+	// the replication lag gate (-max-lag-bytes / -max-lag).
 	Role    string `json:"role,omitempty"`
 	Durable bool   `json:"durable"`
 	// Replication carries a follower's tail position and lag.

@@ -13,19 +13,31 @@ import (
 	"repro/internal/wal"
 )
 
-// TestGroupCommitConcurrentAppendsSurviveReopen drives the group-commit
-// path with many concurrent appenders and checks the three invariants
-// that matter: every acknowledged append is present after recovery,
-// the spine generation advanced exactly once per append (batching must
-// be invisible to readers), and the WAL coalesced at least some commits.
+// syncPolicies runs fn as one subtest per fsync policy: the commit path
+// releases the store mutex across the WAL commit under always and holds
+// it under the weaker policies, and each test must hold on both.
+func syncPolicies(t *testing.T, fn func(t *testing.T, policy wal.SyncPolicy)) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) { fn(t, policy) })
+	}
+}
+
+// TestGroupCommitConcurrentAppendsSurviveReopen drives the commit path
+// with many concurrent appenders and checks the invariants that matter:
+// every acknowledged append is present after recovery, the spine
+// generation advanced exactly once per append (batching must be
+// invisible to readers), and the commit counters account for every
+// record.
 func TestGroupCommitConcurrentAppendsSurviveReopen(t *testing.T) {
+	syncPolicies(t, testConcurrentAppendsSurviveReopen)
+}
+
+func testConcurrentAppendsSurviveReopen(t *testing.T, policy wal.SyncPolicy) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{}) // SyncAlways + group commit by default
+	opt := Options{SyncPolicy: policy}
+	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !st.dur.groupCommit {
-		t.Fatal("group commit must be on by default under SyncAlways")
 	}
 
 	const clients, perClient = 8, 25
@@ -64,21 +76,29 @@ func TestGroupCommitConcurrentAppendsSurviveReopen(t *testing.T) {
 	if info.CommitBatches < 1 || info.CommitBatches > info.CommitRecords {
 		t.Fatalf("CommitBatches = %d out of range [1, %d]", info.CommitBatches, info.CommitRecords)
 	}
+	if policy != wal.SyncAlways && info.CommitBatches != info.CommitRecords {
+		t.Fatalf("CommitBatches = %d, want one per record (%d) under %v", info.CommitBatches, info.CommitRecords, policy)
+	}
 
-	st2 := reopen(t, st, Options{})
+	st2 := reopen(t, st, opt)
 	defer st2.Close()
 	assertSameDB(t, st2.Current(), want)
 }
 
-// TestGroupCommitFsyncFailureDegradesOnce injects a permanent fsync
-// failure mid-stream: every concurrent appender caught in the poisoned
-// batch (or after it) must fail with ErrDegraded wrapping the root
-// errno, the store must flip degraded exactly once, and later appends
-// must reject fast without touching the disk.
+// TestGroupCommitFsyncFailureDegradesOnce injects a permanent WAL
+// failure mid-stream — the fsync under always, the write under the
+// weaker policies, whose commits never fsync: every concurrent appender
+// caught in the poisoned batch (or after it) must fail with ErrDegraded
+// wrapping the root errno, the store must flip degraded exactly once,
+// and later appends must reject fast without touching the disk.
 func TestGroupCommitFsyncFailureDegradesOnce(t *testing.T) {
+	syncPolicies(t, testFailureDegradesOnce)
+}
+
+func testFailureDegradesOnce(t *testing.T, policy wal.SyncPolicy) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS)
-	opt := Options{FS: ffs, ProbeBackoff: time.Minute, ProbeBackoffMax: time.Minute}
+	opt := Options{SyncPolicy: policy, FS: ffs, ProbeBackoff: time.Minute, ProbeBackoffMax: time.Minute}
 	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +107,11 @@ func TestGroupCommitFsyncFailureDegradesOnce(t *testing.T) {
 	mustAppend(t, st, []Record{{Label: "GOOD", Events: []string{"a", "b"}}}, false)
 	before := st.Current()
 
-	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Path: "wal-", At: -1, Err: syscall.EIO})
+	op := vfs.OpWrite
+	if policy == wal.SyncAlways {
+		op = vfs.OpSync
+	}
+	ffs.AddFault(vfs.Fault{Op: op, Path: "wal-", At: -1, Err: syscall.EIO})
 	const clients = 8
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
@@ -129,8 +153,12 @@ func TestGroupCommitFsyncFailureDegradesOnce(t *testing.T) {
 // concurrently: the quiesce barrier must rotate the WAL without losing
 // or reordering a single acknowledged record across the base change.
 func TestGroupCommitCheckpointRotationUnderLoad(t *testing.T) {
+	syncPolicies(t, testCheckpointRotationUnderLoad)
+}
+
+func testCheckpointRotationUnderLoad(t *testing.T, policy wal.SyncPolicy) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{CheckpointWALBytes: 1})
+	st, err := Open(dir, Options{SyncPolicy: policy, CheckpointWALBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,20 +191,25 @@ func TestGroupCommitCheckpointRotationUnderLoad(t *testing.T) {
 		t.Fatalf("no checkpoint ever ran under CheckpointWALBytes=1: %+v", info)
 	}
 
-	st2 := reopen(t, st, Options{})
+	st2 := reopen(t, st, Options{SyncPolicy: policy})
 	defer st2.Close()
 	assertSameDB(t, st2.Current(), want)
 }
 
 // TestGroupCommitCloseRacingAppends races Store.Close against in-flight
-// group commits: appends that were acknowledged must survive reopen,
-// appends that failed must fail with wal.ErrClosed (a close is not a
-// disk failure — the store must not report degraded), and nothing may
+// commits: appends that were acknowledged must survive reopen, appends
+// that failed must fail with wal.ErrClosed (a close is not a disk
+// failure — the store must not report degraded), and nothing may
 // deadlock or panic.
 func TestGroupCommitCloseRacingAppends(t *testing.T) {
+	syncPolicies(t, testCloseRacingAppends)
+}
+
+func testCloseRacingAppends(t *testing.T, policy wal.SyncPolicy) {
+	opt := Options{SyncPolicy: policy}
 	for round := 0; round < 5; round++ {
 		dir := t.TempDir()
-		st, err := Open(dir, Options{})
+		st, err := Open(dir, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +248,7 @@ func TestGroupCommitCloseRacingAppends(t *testing.T) {
 			t.FailNow()
 		}
 
-		st2, err := Open(dir, Options{})
+		st2, err := Open(dir, opt)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

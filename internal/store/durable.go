@@ -90,44 +90,27 @@ type durableState struct {
 	// nil when no prober runs.
 	proberStop chan struct{}
 	proberDone chan struct{}
-	// encBuf is the reusable batch-encoding buffer (serialized path only;
-	// the group path encodes outside mu through a pool).
-	encBuf []byte
 
-	// Group-commit state. groupCommit is set once before the store is
-	// shared and never mutated, so Append may read it without mu;
-	// everything else below is guarded by the store's mu. inFlight counts
-	// appends between WAL commit admission and spine apply; cond is
-	// broadcast whenever the spine generation advances, inFlight drops,
-	// or quiescing/closed flip, and is what commit waiters, checkpoint
-	// quiescing, and Close's drain block on. quiescing blocks new
-	// admissions while a checkpoint drains in-flight commits (a rotation
-	// changes walBase, which would invalidate their apply targets).
-	groupCommit bool
-	cond        *sync.Cond
-	inFlight    int
-	quiescing   bool
-	closed      bool
+	// Commit pipeline state (commit.go). inFlight counts batches between
+	// WAL commit admission and spine apply; cond is broadcast whenever the
+	// spine generation advances, inFlight drops, or quiescing/closed flip,
+	// and is what commit waiters, checkpoint quiescing, and Close's drain
+	// block on. quiescing blocks new admissions while a checkpoint drains
+	// in-flight commits (a rotation changes walBase, which would
+	// invalidate their apply targets).
+	cond      *sync.Cond
+	inFlight  int
+	quiescing bool
+	closed    bool
 	// Commit statistics carried across WAL rotations: the live WAL's
 	// counters reset on every checkpoint, so the totals a monitoring
 	// scrape sees are acc + live.
 	accCommit wal.CommitStats
 }
 
-// walOptions maps store Options to the WAL's. Group commit defaults ON
-// under SyncPolicy=always (0 selects the WAL's defaults, negative
-// disables); under weaker policies appends never pay a per-record fsync,
-// so the committer is never enabled there.
+// walOptions maps store Options to the WAL's.
 func (o Options) walOptions() wal.Options {
-	w := wal.Options{Policy: o.SyncPolicy, Interval: o.SyncInterval, FS: o.FS}
-	if o.SyncPolicy == wal.SyncAlways && o.CommitMaxBatch >= 0 {
-		w.CommitMaxBatch = o.CommitMaxBatch
-		if w.CommitMaxBatch == 0 {
-			w.CommitMaxBatch = wal.DefaultCommitMaxBatch
-		}
-		w.CommitMaxWait = o.CommitMaxWait
-	}
-	return w
+	return wal.Options{Policy: o.SyncPolicy, Interval: o.SyncInterval, FS: o.FS}
 }
 
 // effectiveCheckpointBytes resolves the auto-checkpoint threshold.
@@ -161,7 +144,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	st.dur.wal = w
 	st.dur.walBase = liveBase
-	st.finishDurableSetup()
 	return st, nil
 }
 
@@ -221,17 +203,16 @@ func Create(dir string, db *seq.DB, opt Options) (*Store, error) {
 		return nil, err
 	}
 	st := seedStore(db, opt, 1)
-	st.dur = newDurableState(dir, opt)
+	st.dur = newDurableState(st, dir, opt)
 	st.dur.wal = w
 	st.dur.walBase = 1
 	st.dur.segGen = 1
-	st.finishDurableSetup()
 	return st, nil
 }
 
-// newDurableState builds the persistence arm from the options; the
+// newDurableState builds st's persistence arm from the options; the
 // caller fills in the WAL handle and generations.
-func newDurableState(dir string, opt Options) *durableState {
+func newDurableState(st *Store, dir string, opt Options) *durableState {
 	return &durableState{
 		dir:             dir,
 		fsys:            opt.fs(),
@@ -239,16 +220,8 @@ func newDurableState(dir string, opt Options) *durableState {
 		checkpointBytes: opt.effectiveCheckpointBytes(),
 		probeBackoff:    opt.ProbeBackoff,
 		probeBackoffMax: opt.ProbeBackoffMax,
+		cond:            sync.NewCond(&st.mu),
 	}
-}
-
-// finishDurableSetup wires the group-commit machinery once the WAL
-// handle is installed. Runs before the store is shared, so the
-// groupCommit flag may be read without mu afterwards.
-func (st *Store) finishDurableSetup() {
-	d := st.dur
-	d.cond = sync.NewCond(&st.mu)
-	d.groupCommit = d.walOpt.Policy == wal.SyncAlways && d.walOpt.CommitMaxBatch > 0
 }
 
 // recoverDir rebuilds the in-memory store from dir's files and reports
@@ -297,7 +270,7 @@ func recoverDir(dir string, opt Options) (st *Store, liveBase uint64, err error)
 	}
 
 	st = seedStore(db, opt, baseGen)
-	st.dur = newDurableState(dir, opt)
+	st.dur = newDurableState(st, dir, opt)
 	st.dur.segGen = segGen
 
 	// Replay the WAL chain: files based at or after the checkpoint, in
@@ -348,13 +321,6 @@ func recoverDir(dir string, opt Options) (st *Store, liveBase uint64, err error)
 	return st, liveBase, nil
 }
 
-// logBatch encodes and appends one batch to the WAL. Called under mu,
-// before the batch is applied to the spine.
-func (d *durableState) logBatch(records []Record, upsert bool) error {
-	d.encBuf = encodeBatch(d.encBuf[:0], records, upsert)
-	return d.wal.Append(d.encBuf)
-}
-
 // absorbCommitStats folds the live WAL's commit counters into the
 // running totals before the handle is replaced (checkpoint rotation,
 // degraded-mode heal). Called under mu.
@@ -375,7 +341,7 @@ func (st *Store) Checkpoint() error {
 	if st.dur == nil {
 		return nil
 	}
-	err := st.checkpointQuiesced()
+	err := st.checkpointQuiesced(false)
 	if err != nil && !errors.Is(err, wal.ErrClosed) {
 		// The WAL still holds everything; have the prober retry the
 		// compaction in the background.
@@ -384,17 +350,22 @@ func (st *Store) Checkpoint() error {
 	return err
 }
 
-// checkpointQuiesced runs a checkpoint with the group-commit pipeline
-// drained. The rotation inside checkpointLocked changes walBase, which
-// would invalidate the apply targets of commits already in flight — so
-// new admissions are blocked (quiescing), in-flight appends drain, and
-// only then does the checkpoint run. Caller holds st.mu; the wait
-// releases it. No-op extra cost on stores without group commit.
-func (st *Store) checkpointQuiesced() error {
+// needsCheckpoint reports whether the live WAL crossed the
+// auto-checkpoint threshold on a healthy store. Caller holds st.mu.
+func (d *durableState) needsCheckpoint() bool {
+	return d.degraded == nil && d.checkpointBytes >= 0 && d.wal.Size() >= d.checkpointBytes
+}
+
+// checkpointQuiesced runs a checkpoint with the commit pipeline drained.
+// The rotation inside checkpointLocked changes walBase, which would
+// invalidate the apply targets of commits already in flight — so new
+// admissions are blocked (quiescing), in-flight batches drain, and only
+// then does the checkpoint run. With auto set it is the auto-checkpoint:
+// several committers can cross the threshold together, and whoever
+// drains after the first finds the fresh WAL and skips. Caller holds
+// st.mu; the waits release it.
+func (st *Store) checkpointQuiesced(auto bool) error {
 	d := st.dur
-	if !d.groupCommit {
-		return st.checkpointLocked()
-	}
 	for d.quiescing && !d.closed {
 		d.cond.Wait()
 	}
@@ -406,10 +377,12 @@ func (st *Store) checkpointQuiesced() error {
 		d.cond.Wait()
 	}
 	var err error
-	if d.closed {
+	switch {
+	case d.closed:
 		// Close slipped in while we drained; it owns the WAL now.
 		err = wal.ErrClosed
-	} else {
+	case auto && !d.needsCheckpoint():
+	default:
 		err = st.checkpointLocked()
 	}
 	d.quiescing = false
@@ -521,17 +494,14 @@ func (st *Store) Close() error {
 		st.mu.Unlock()
 		return nil
 	}
-	if st.dur.groupCommit && !st.dur.closed {
-		// Stop admitting group commits, then drain the pipeline: appends
-		// whose records are already durable get to publish their
-		// snapshots before the WAL handle goes away.
-		st.dur.closed = true
-		st.dur.cond.Broadcast()
-		for st.dur.inFlight > 0 {
-			st.dur.cond.Wait()
-		}
-	}
+	// Stop admitting commits, then drain the pipeline: batches whose
+	// records are already durable get to publish their snapshots before
+	// the WAL handle goes away.
 	st.dur.closed = true
+	st.dur.cond.Broadcast()
+	for st.dur.inFlight > 0 {
+		st.dur.cond.Wait()
+	}
 	if stop := st.dur.proberStop; stop != nil {
 		done := st.dur.proberDone
 		st.dur.proberStop, st.dur.proberDone = nil, nil
@@ -579,12 +549,13 @@ type DurabilityInfo struct {
 	// cause.
 	Degraded      bool
 	DegradedError string
-	// CommitBatches/CommitRecords count group-commit activity across the
-	// store's lifetime (accumulated over WAL rotations): how many
-	// coalesced batches were written and how many records they carried.
-	// Fsyncs counts every fsync the WALs issued; CommitRecords -
-	// CommitBatches is the number of fsyncs group commit saved versus
-	// one-fsync-per-append.
+	// CommitBatches/CommitRecords count WAL commit activity across the
+	// store's lifetime (accumulated over WAL rotations): how many batches
+	// were written and how many records they carried. Fsyncs counts every
+	// fsync the WALs issued. Under SyncPolicy=always every batch is one
+	// fsync, so CommitRecords - CommitBatches is the number of fsyncs
+	// group commit saved versus one-fsync-per-append; under the weaker
+	// policies every batch is one record.
 	CommitBatches int64
 	CommitRecords int64
 	Fsyncs        int64

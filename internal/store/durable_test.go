@@ -342,7 +342,7 @@ func TestRecoveryAfterInterruptedCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append(gap); err != nil {
+		if _, err := l.Commit(gap); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {

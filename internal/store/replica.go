@@ -18,10 +18,10 @@ import (
 // and positions, and everything that touches segments, WAL framing, or
 // the spine goes through the entry points here.
 //
-// A follower applies each shipped batch exactly like recovery replays a
-// WAL record: log the payload to its own WAL first, then apply it to the
-// spine. The follower's directory is therefore always a valid store
-// directory — a crash at any byte recovers through the ordinary
+// A follower applies each shipped batch through the primary's own write
+// path (commit.go): log the payload to its own WAL first, then apply it
+// to the spine. The follower's directory is therefore always a valid
+// store directory — a crash at any byte recovers through the ordinary
 // Open path, and promotion is nothing but "stop rejecting writes".
 
 // Store roles, reported via DurabilityInfo.Role.
@@ -97,42 +97,15 @@ func (st *Store) ApplyReplicated(target uint64, payload []byte) (*Snapshot, erro
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case st.dur == nil:
+		return nil, errors.New("store: ApplyReplicated on an in-memory store")
+	case target == 0: // generations start at 1; 0 marks a primary append
+		return nil, fmt.Errorf("%w: batch targets generation 0", ErrReplicaGap)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.follower {
-		return nil, errors.New("store: ApplyReplicated on a non-follower store")
-	}
-	if st.dur == nil {
-		return nil, errors.New("store: ApplyReplicated on an in-memory store")
-	}
-	d := st.dur
-	if d.closed {
-		return nil, wal.ErrClosed
-	}
-	if dg := d.degraded; dg != nil {
-		return nil, degradedError(dg)
-	}
-	cur := st.cur.Load().gen
-	if target != cur+1 {
-		return nil, fmt.Errorf("%w: batch targets generation %d, follower is at %d", ErrReplicaGap, target, cur)
-	}
-	if err := d.wal.Append(payload); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return nil, err
-		}
-		st.enterDegradedLocked(err)
-		return nil, degradedError(err)
-	}
-	snap := st.applyLocked(records, upsert)
-	if d.checkpointBytes >= 0 && d.wal.Size() >= d.checkpointBytes {
-		// Followers run no group commits, so inFlight is always zero and
-		// the checkpoint needs no quiesce. Best-effort, like the primary's
-		// auto-checkpoint: the batch is already durable in the WAL.
-		if err := st.checkpointLocked(); err != nil {
-			st.startProberLocked()
-		}
-	}
-	return snap, nil
+	return st.commitLocked(payload, records, upsert, target)
 }
 
 // WALFileName returns the on-disk file name of the WAL based at base.

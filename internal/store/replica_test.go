@@ -14,7 +14,7 @@ import (
 // replicateDir copies the primary's state into a follower directory the
 // way the repl package does: install the newest segment, then re-apply
 // the WAL chain record by record through ApplyReplicated.
-func replicateDir(t *testing.T, primaryDir, followerDir string) *Store {
+func replicateDir(t *testing.T, primaryDir, followerDir string, opt Options) *Store {
 	t.Helper()
 	segPath, segGen, ok, err := NewestSegment(vfs.OS, primaryDir)
 	if err != nil || !ok {
@@ -31,7 +31,7 @@ func replicateDir(t *testing.T, primaryDir, followerDir string) *Store {
 	if gen != segGen {
 		t.Fatalf("InstallSegmentBytes gen=%d, want %d", gen, segGen)
 	}
-	f, err := Open(followerDir, Options{})
+	f, err := Open(followerDir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,19 @@ func replicateDir(t *testing.T, primaryDir, followerDir string) *Store {
 	return f
 }
 
+// TestReplicaApplyMatchesPrimary replicates a primary's segment + WAL
+// chain into a follower under each fsync policy; under always the
+// follower's applies go through the out-of-lock commit path.
 func TestReplicaApplyMatchesPrimary(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncNever, wal.SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) { testReplicaApplyMatchesPrimary(t, Options{SyncPolicy: policy}) })
+	}
+}
+
+func testReplicaApplyMatchesPrimary(t *testing.T, opt Options) {
 	primaryDir := filepath.Join(t.TempDir(), "primary")
 	followerDir := filepath.Join(t.TempDir(), "follower")
-	p, err := Open(primaryDir, Options{SyncPolicy: wal.SyncNever})
+	p, err := Open(primaryDir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestReplicaApplyMatchesPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := replicateDir(t, primaryDir, followerDir)
+	f := replicateDir(t, primaryDir, followerDir, opt)
 	defer f.Close()
 
 	ps, fs := p.Current(), f.Current()
@@ -122,7 +131,7 @@ func TestReplicaApplyMatchesPrimary(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Open(followerDir, Options{})
+	f2, err := Open(followerDir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 
 func TestFollowerGroupCommitRejects(t *testing.T) {
 	dir := t.TempDir()
-	// SyncAlways + default CommitMaxBatch enables the group path.
+	// SyncAlways releases the store mutex across the WAL commit.
 	st, err := Open(dir, Options{SyncPolicy: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +195,9 @@ func TestApplyReplicatedGap(t *testing.T) {
 	}
 	if _, err := st.ApplyReplicated(cur, payload); !errors.Is(err, ErrReplicaGap) {
 		t.Fatalf("stale apply err=%v, want ErrReplicaGap", err)
+	}
+	if _, err := st.ApplyReplicated(0, payload); !errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("generation-0 apply err=%v, want ErrReplicaGap", err)
 	}
 	if _, err := st.ApplyReplicated(cur+1, payload); err != nil {
 		t.Fatalf("in-sequence apply: %v", err)

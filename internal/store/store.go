@@ -33,7 +33,6 @@
 package store
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,18 +63,6 @@ type Options struct {
 	// DefaultCheckpointWALBytes; negative disables automatic checkpoints
 	// (Checkpoint can still be called explicitly).
 	CheckpointWALBytes int64
-	// CommitMaxBatch configures WAL group commit under SyncPolicy=always:
-	// concurrent Appends are coalesced into one WAL write + one fsync of
-	// up to this many records. 0 selects wal.DefaultCommitMaxBatch (group
-	// commit ON by default under always — it only helps); negative
-	// disables it, restoring the fully serialized append path. Ignored
-	// under weaker policies, which never pay a per-append fsync.
-	CommitMaxBatch int
-	// CommitMaxWait bounds how long a commit batch is held open for
-	// stragglers once at least one more appender is en route. 0 selects
-	// wal.DefaultCommitMaxWait; negative disables waiting. A lone
-	// appender never waits the window out.
-	CommitMaxWait time.Duration
 	// FS overrides the filesystem durable stores perform their I/O
 	// through. Nil selects the real OS filesystem; fault-injection tests
 	// install a vfs.FaultFS here.
@@ -266,8 +253,8 @@ func (st *Store) Current() *Snapshot {
 //
 // On a durable store the batch is written to the WAL — and, under
 // SyncPolicy=always, fsynced — before the snapshot is published: an
-// error means nothing was applied and nothing was acknowledged. Errors
-// are impossible on in-memory stores.
+// error means nothing was applied and nothing was acknowledged (see
+// commit.go). Errors are impossible on in-memory primaries.
 //
 // A WAL failure (ENOSPC, EIO, ...) flips the store into degraded mode:
 // this and every later Append return an error wrapping ErrDegraded (and,
@@ -275,42 +262,21 @@ func (st *Store) Current() *Snapshot {
 // serving the last published snapshot, and a background prober retries
 // recovery with exponential backoff until the disk heals (degraded.go).
 func (st *Store) Append(records []Record, upsert bool) (*Snapshot, error) {
-	if st.dur != nil && st.dur.groupCommit {
-		// Group-commit path: the WAL write + fsync happens outside st.mu
-		// so concurrent appenders coalesce into one fsync (groupcommit.go).
-		return st.appendGrouped(records, upsert)
+	if st.dur == nil {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.follower {
+			return nil, ErrNotPrimary
+		}
+		return st.applyLocked(records, upsert), nil
 	}
+	// Encode before taking mu; concurrent appenders each need a buffer.
+	buf := encPool.Get().(*[]byte)
+	defer encPool.Put(buf)
+	*buf = encodeBatch((*buf)[:0], records, upsert)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.follower {
-		return nil, ErrNotPrimary
-	}
-	if st.dur != nil {
-		if st.dur.closed {
-			return nil, wal.ErrClosed
-		}
-		if d := st.dur.degraded; d != nil {
-			// Fast rejection: no I/O, the prober owns retrying.
-			return nil, degradedError(d)
-		}
-		if err := st.dur.logBatch(records, upsert); err != nil {
-			if errors.Is(err, wal.ErrClosed) {
-				return nil, err
-			}
-			st.enterDegradedLocked(err)
-			return nil, degradedError(err)
-		}
-	}
-	snap := st.applyLocked(records, upsert)
-	if st.dur != nil && st.dur.checkpointBytes >= 0 && st.dur.wal.Size() >= st.dur.checkpointBytes {
-		// Compact the WAL into a fresh checkpoint. Best-effort: the append
-		// itself is durable already, so a checkpoint failure (reported via
-		// Durability, retried by the prober) must not fail the append.
-		if err := st.checkpointLocked(); err != nil {
-			st.startProberLocked()
-		}
-	}
-	return snap, nil
+	return st.commitLocked(*buf, records, upsert, 0)
 }
 
 // applyLocked applies one batch to the spine and publishes the next

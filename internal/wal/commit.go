@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,26 +10,35 @@ import (
 // throughput is capped at one disk flush per record no matter how many
 // goroutines are appending. The committer collapses that: concurrent
 // Commit calls hand their payloads to a single goroutine that packs
-// every record arriving within the commit window (maxBatch records /
-// maxWait) into one buffered write, issues ONE fsync, and then completes
-// each waiter with its assigned record number. Throughput scales with
-// offered load — the fsync cost is divided across the batch — while the
-// contract per record is unchanged: a nil error means that record is on
-// stable storage.
+// every record arriving within the commit window into one buffered
+// write, issues ONE fsync, and then completes each waiter with its
+// assigned record number. Throughput scales with offered load — the
+// fsync cost is divided across the batch — while the contract per
+// record is unchanged: a nil error means that record is on stable
+// storage.
 //
-// Failure semantics mirror the serialized path exactly. The first write
-// or sync error poisons the log (sticky l.err), every record in the
-// failing batch gets the same typed root error exactly once, and every
-// later commit fails fast with the sticky error. A batch therefore never
-// partially succeeds: successes form a strict prefix of the record
-// sequence, which is what lets the store apply records in WAL order.
+// Failure semantics are the log's: the first write or sync error poisons
+// the log (sticky l.err), every record in the failing batch gets the
+// same typed root error exactly once, and every later commit fails fast
+// with the sticky error. A batch therefore never partially succeeds:
+// successes form a strict prefix of the record sequence, which is what
+// lets the store apply records in WAL order.
 //
 // Latency: a lone committer never waits out the window. The pending
 // counter is incremented before a submitter enqueues, so when the
 // channel is empty and pending is zero the committer knows no one is en
 // route and commits immediately — single-client latency stays within
-// one scheduling handoff of the unbatched path, and the fsync duration
-// itself becomes the natural batching window under load.
+// one scheduling handoff of a lone fsync, and the fsync duration itself
+// becomes the natural batching window under load.
+
+// The commit window: a batch closes at commitMaxBatch records or
+// commitMaxWait, whichever comes first. 64 records amortize one fsync
+// down to ~1/64th per record; 1ms bounds the latency a lone straggler
+// can add.
+const (
+	commitMaxBatch = 64
+	commitMaxWait  = time.Millisecond
+)
 
 // commitResult completes one waiter: its 1-based record number in the
 // log, or the error that failed its batch.
@@ -51,9 +59,7 @@ var respPool = sync.Pool{New: func() any { return make(chan commitResult, 1) }}
 
 // committer is the group-commit stage of a Log.
 type committer struct {
-	l        *Log
-	maxBatch int
-	maxWait  time.Duration
+	l *Log
 
 	ch      chan commitReq
 	pending atomic.Int64 // submitters past the closed-check, not yet collected
@@ -68,19 +74,16 @@ type committer struct {
 	stop chan struct{}
 	done chan struct{}
 
-	buf  []byte // reused frame-packing buffer, committer goroutine only
-	last int    // previous batch size, committer goroutine only
+	last int // previous batch size, committer goroutine only
 }
 
 // newCommitter starts the committer goroutine for l.
-func newCommitter(l *Log, maxBatch int, maxWait time.Duration) *committer {
+func newCommitter(l *Log) *committer {
 	c := &committer{
-		l:        l,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		ch:       make(chan commitReq, maxBatch),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		l:    l,
+		ch:   make(chan commitReq, commitMaxBatch),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go c.loop()
 	return c
@@ -119,7 +122,7 @@ func (c *committer) shutdown() {
 // loop is the committer goroutine: collect a batch, commit it, repeat.
 func (c *committer) loop() {
 	defer close(c.done)
-	reqs := make([]commitReq, 0, c.maxBatch)
+	reqs := make([]commitReq, 0, commitMaxBatch)
 	var timer *time.Timer
 	for {
 		// Wait for the batch opener.
@@ -144,13 +147,9 @@ func (c *committer) loop() {
 		// cheapest honest estimate of how many are coming; a lone
 		// appender (last == 1) still commits with zero waiting. The timer
 		// bounds the total window from the batch opener, not per record.
-		target := c.last
-		if target > c.maxBatch {
-			target = c.maxBatch
-		}
 		var deadline <-chan time.Time
 	fill:
-		for len(reqs) < c.maxBatch {
+		for len(reqs) < commitMaxBatch {
 			select {
 			case req := <-c.ch:
 				c.pending.Add(-1)
@@ -160,14 +159,14 @@ func (c *committer) loop() {
 				break fill
 			default:
 			}
-			if c.maxWait <= 0 || (c.pending.Load() == 0 && len(reqs) >= target) {
+			if c.pending.Load() == 0 && len(reqs) >= c.last {
 				break fill
 			}
 			if deadline == nil {
 				if timer == nil {
-					timer = time.NewTimer(c.maxWait)
+					timer = time.NewTimer(commitMaxWait)
 				} else {
-					timer.Reset(c.maxWait)
+					timer.Reset(commitMaxWait)
 				}
 				deadline = timer.C
 			}
@@ -200,13 +199,13 @@ func (c *committer) loop() {
 // submitter is between its closed-check and its send: pending counts
 // exactly the requests already sitting in the channel, and receiving
 // that many can never block. They were accepted while the log was open,
-// so they are committed (in maxBatch chunks), not failed.
+// so they are committed (in commitMaxBatch chunks), not failed.
 func (c *committer) drainClosed(reqs []commitReq) {
 	for c.pending.Load() > 0 {
 		req := <-c.ch
 		c.pending.Add(-1)
 		reqs = append(reqs, req)
-		if len(reqs) == c.maxBatch {
+		if len(reqs) == commitMaxBatch {
 			c.commitBatch(reqs)
 			reqs = reqs[:0]
 		}
@@ -219,45 +218,21 @@ func (c *committer) drainClosed(reqs []commitReq) {
 // commitBatch writes every queued record as one buffered write + one
 // fsync and completes the waiters. Success assigns consecutive record
 // numbers; any failure fails the whole batch with the same root error
-// and leaves the log poisoned (sticky error), exactly like the
-// serialized Append path.
+// and leaves the log poisoned (sticky error).
 func (c *committer) commitBatch(reqs []commitReq) {
 	l := c.l
 	l.mu.Lock()
-	err := l.err
-	if err == nil && l.f == nil {
-		err = ErrClosed
+	l.buf = l.buf[:0]
+	for _, r := range reqs {
+		l.buf = appendFrame(l.buf, r.payload)
 	}
-	if err == nil {
-		c.buf = c.buf[:0]
-		for _, r := range reqs {
-			c.buf = appendFrame(c.buf, r.payload)
-		}
-		if _, werr := l.f.Write(c.buf); werr != nil {
-			l.err = fmt.Errorf("wal: write: %w", werr)
-			err = l.err
-		}
-	}
-	var first int
-	if err == nil {
-		l.size.Add(int64(len(c.buf)))
-		first = l.recs
-		l.recs += len(reqs)
-		l.dirty = true
-		err = l.syncLocked()
-	}
-	if err == nil {
-		l.batches++
-		l.records += int64(len(reqs))
-	}
+	prev, err := l.writeLocked(len(reqs))
 	l.mu.Unlock()
-	if err != nil {
-		for _, r := range reqs {
-			r.resp <- commitResult{err: err}
-		}
-		return
-	}
 	for i, r := range reqs {
-		r.resp <- commitResult{rec: first + i + 1}
+		res := commitResult{err: err}
+		if err == nil {
+			res.rec = prev + i + 1
+		}
+		r.resp <- res
 	}
 }

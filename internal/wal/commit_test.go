@@ -50,7 +50,7 @@ func (f slowSyncFile) Sync() error {
 func TestGroupCommitConcurrent(t *testing.T) {
 	const clients, perClient = 8, 40
 	dir := t.TempDir()
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{CommitMaxBatch: 16})
+	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const clients, perClient = 8, 25
 	dir := t.TempDir()
 	fs := slowSyncFS{FS: vfs.OS, delay: 2 * time.Millisecond}
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{
-		CommitMaxBatch: DefaultCommitMaxBatch,
-		FS:             fs,
-	})
+	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestGroupCommitFailedFsyncFailsBatch(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS)
 	// Every fsync fails: whichever batches form, each fails whole.
 	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, At: -1, Err: syscall.EIO})
-	l, err := Open(path, Options{CommitMaxBatch: clients, CommitMaxWait: 2 * time.Millisecond, FS: ffs})
+	l, err := Open(path, Options{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +237,7 @@ func TestGroupCommitCloseRace(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal-0000000000000001.log")
-		l, err := Open(path, Options{CommitMaxBatch: 8})
+		l, err := Open(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,89 +280,82 @@ func TestGroupCommitCloseRace(t *testing.T) {
 	}
 }
 
-// TestCommitWithoutCommitter: with no committer configured, Commit is
-// Append plus the record number — same durability, same numbering.
+// TestCommitWithoutCommitter: under the weak policies Commit runs
+// without the committer, writing one frame under the log's mutex, and
+// numbers records exactly as the committer does.
 func TestCommitWithoutCommitter(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.com != nil {
-		t.Fatal("CommitMaxBatch=0 must not start a committer")
-	}
-	for i := 1; i <= 3; i++ {
-		rec, err := l.Commit([]byte{byte(i)})
+	for _, policy := range []SyncPolicy{SyncInterval, SyncNever} {
+		dir := t.TempDir()
+		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec != i {
-			t.Fatalf("record number %d, want %d", rec, i)
+		for i := 1; i <= 3; i++ {
+			rec, err := l.Commit([]byte{byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec != i {
+				t.Fatalf("%v: record number %d, want %d", policy, rec, i)
+			}
 		}
-	}
-	if _, err := l.Commit(nil); err == nil {
-		t.Fatal("empty record accepted")
+		if _, err := l.Commit(nil); err == nil {
+			t.Fatalf("%v: empty record accepted", policy)
+		}
+		if stats := l.CommitStats(); stats.Records != 3 || stats.Batches != 3 || stats.Syncs != 0 {
+			t.Fatalf("%v: CommitStats = %+v, want 3 one-record batches and no fsync", policy, stats)
+		}
+		l.Close()
+		if n, _, torn, err := Scan(l.Path(), nil); n != 3 || torn || err != nil {
+			t.Fatalf("%v: scan n=%d torn=%v err=%v", policy, n, torn, err)
+		}
 	}
 }
 
-// TestCommitterOnlyUnderSyncAlways: weaker policies never pay per-record
-// fsyncs, so the committer must not start there even when configured.
+// TestCommitterOnlyUnderSyncAlways: the committer runs exactly under
+// SyncAlways; weaker policies never pay per-record fsyncs, so there is
+// nothing for it to coalesce.
 func TestCommitterOnlyUnderSyncAlways(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncInterval, SyncNever} {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"),
-			Options{Policy: policy, CommitMaxBatch: 64})
+		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.com != nil {
-			t.Fatalf("policy %v started a committer", policy)
+		if got := l.com != nil; got != (policy == SyncAlways) {
+			t.Fatalf("policy %v: committer running = %v", policy, got)
 		}
 		l.Close()
 	}
 }
 
-// TestFrameEncodeZeroAllocs pins the shared encode helper's allocation
-// behavior on both write paths: steady-state, neither a serialized
-// Append nor a batched Commit allocates per record.
+// TestFrameEncodeZeroAllocs pins the shared frame encoder's allocation
+// behavior on both commit paths: steady-state, neither a weak-policy
+// Commit nor a group-committed one allocates per record.
 func TestFrameEncodeZeroAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 128)
-
-	appendLog, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer appendLog.Close()
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := appendLog.Append(payload); err != nil {
+	for i, policy := range []SyncPolicy{SyncNever, SyncAlways} {
+		l, err := Open(filepath.Join(dir, fmt.Sprintf("wal-%016x.log", i+1)), Options{Policy: policy})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("Append allocates %.1f/record in steady state, want 0", avg)
-	}
-
-	commitLog, err := Open(filepath.Join(dir, "wal-0000000000000002.log"),
-		Options{CommitMaxBatch: DefaultCommitMaxBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer commitLog.Close()
-	// Warm the committer's frame buffer and the waiter-channel pool.
-	for i := 0; i < 64; i++ {
-		if _, err := commitLog.Commit(payload); err != nil {
-			t.Fatal(err)
+		defer l.Close()
+		// Warm the frame buffer and the waiter-channel pool.
+		for i := 0; i < 64; i++ {
+			if _, err := l.Commit(payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := commitLog.Commit(payload); err != nil {
-			t.Fatal(err)
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := l.Commit(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%v: Commit allocates %.1f/record in steady state, want 0", policy, avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("Commit allocates %.1f/record in steady state, want 0", avg)
 	}
 }

@@ -50,7 +50,7 @@ func TestReaderSeesLiveAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]byte("first")); err != nil {
+	if _, err := l.Commit([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func TestReaderSeesLiveAppends(t *testing.T) {
 	if _, ok, _ := r.Next(); ok {
 		t.Fatal("Next reported a record at the live tail")
 	}
-	if err := l.Append([]byte("second")); err != nil {
+	if _, err := l.Commit([]byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	if p, ok, err := r.Next(); err != nil || !ok || string(p) != "second" {

@@ -27,17 +27,12 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
-		if err := l.Append(acked); err != nil {
+		if _, err := l.Commit(acked); err != nil {
 			t.Fatalf("cut=%d: acked append: %v", cut, err)
 		}
-		// Append writes the 8-byte header, then the payload: route the
-		// cut to whichever write the offset lands in.
-		if cut < frameHeaderSize {
-			ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, At: 0, ShortWrite: cut, Err: syscall.ENOSPC})
-		} else {
-			ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, At: 1, ShortWrite: cut - frameHeaderSize, Err: syscall.ENOSPC})
-		}
-		if err := l.Append(torn); err == nil {
+		// Commit sends the whole frame in one write: cut it there.
+		ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, At: 0, ShortWrite: cut, Err: syscall.ENOSPC})
+		if _, err := l.Commit(torn); err == nil {
 			t.Fatalf("cut=%d: torn append reported success", cut)
 		} else if !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("cut=%d: torn append error %v loses the errno", cut, err)
@@ -68,7 +63,7 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 			t.Fatalf("cut=%d: replay = %q", cut, got)
 		}
 		// And the truncated log accepts appends cleanly.
-		if err := l2.Append([]byte("after")); err != nil {
+		if _, err := l2.Commit([]byte("after")); err != nil {
 			t.Fatalf("cut=%d: append after recovery: %v", cut, err)
 		}
 		l2.Close()
@@ -87,7 +82,7 @@ func TestTruncateToDropsTail(t *testing.T) {
 	}
 	payloads := [][]byte{[]byte("one"), []byte("twotwo"), []byte("three")}
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if _, err := l.Commit(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +98,7 @@ func TestTruncateToDropsTail(t *testing.T) {
 	if l.Records() != 1 || l.Size() != int64(frameHeaderSize+len(payloads[0])) {
 		t.Fatalf("after TruncateTo(1): records=%d size=%d", l.Records(), l.Size())
 	}
-	if err := l.Append([]byte("replacement")); err != nil {
+	if _, err := l.Commit([]byte("replacement")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -139,7 +134,7 @@ func TestWALErrAccessor(t *testing.T) {
 		t.Fatalf("fresh log Err = %v", l.Err())
 	}
 	ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, At: -1, Err: syscall.EIO})
-	if err := l.Append([]byte("x")); err == nil {
+	if _, err := l.Commit([]byte("x")); err == nil {
 		t.Fatal("append with EIO succeeded")
 	}
 	if !errors.Is(l.Err(), syscall.EIO) {

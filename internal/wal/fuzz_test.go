@@ -64,7 +64,7 @@ func FuzzScan(f *testing.F) {
 		if l.Size() != valid || l.Records() != records {
 			t.Fatalf("open: size=%d records=%d, scan said %d/%d", l.Size(), l.Records(), valid, records)
 		}
-		if err := l.Append([]byte("tail")); err != nil {
+		if _, err := l.Commit([]byte("tail")); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

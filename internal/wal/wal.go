@@ -46,7 +46,7 @@ const (
 	// SyncAlways fsyncs after every append before it returns. The only
 	// policy under which an acknowledged append can never be lost to a
 	// machine crash (process crashes lose nothing under any policy: the
-	// data is in the kernel page cache the moment Append returns).
+	// data is in the kernel page cache the moment Commit returns).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs in the background at a fixed interval. A machine
 	// crash can lose up to one interval of acknowledged appends.
@@ -88,14 +88,6 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 // when Options.Interval is zero.
 const DefaultSyncInterval = 100 * time.Millisecond
 
-// Group-commit defaults: the committer closes a batch at 64 records or
-// 1ms, whichever comes first. 64 records amortize one fsync down to
-// ~1/64th per record; 1ms bounds the latency a lone straggler can add.
-const (
-	DefaultCommitMaxBatch = 64
-	DefaultCommitMaxWait  = time.Millisecond
-)
-
 // ErrClosed is returned by operations on a closed log. Distinguishable
 // from I/O failures so callers (the store's degraded-mode machinery) can
 // tell an ordinary close race from a dying disk.
@@ -108,22 +100,6 @@ type Options struct {
 	// Interval is the background fsync cadence under SyncInterval;
 	// 0 selects DefaultSyncInterval.
 	Interval time.Duration
-	// CommitMaxBatch enables group commit under SyncAlways: Commit calls
-	// from concurrent goroutines are coalesced by a committer goroutine
-	// into a single buffered write and ONE fsync, up to CommitMaxBatch
-	// records per batch. 0 disables the committer (Commit then degrades
-	// to the serialized Append path). Ignored under other policies, where
-	// appends do not pay a per-record fsync in the first place.
-	CommitMaxBatch int
-	// CommitMaxWait bounds how long the committer holds a batch open
-	// waiting for more records once at least one submitter is en route;
-	// 0 selects DefaultCommitMaxWait, negative disables waiting (a batch
-	// is whatever is queued the instant the committer looks). A lone
-	// committer never waits at all: with nothing queued and no submitter
-	// between enqueue and handoff, the batch commits immediately, so
-	// single-client latency stays within one commit window of the
-	// unbatched path.
-	CommitMaxWait time.Duration
 	// FS overrides the filesystem the log performs its I/O through. Nil
 	// selects the real OS filesystem; fault-injection tests install a
 	// vfs.FaultFS here. The file handle is held in the Log struct, so
@@ -161,32 +137,21 @@ func frameCRC(lenField [4]byte, payload []byte) uint32 {
 	return crc32.Update(crc, castagnoli, payload)
 }
 
-// putFrameHeader fills hdr (len ≥ frameHeaderSize) with the frame header
-// for payload: the little-endian length followed by the CRC. The ONLY
-// place the on-disk header layout is produced — Append and the group
-// committer both encode through here, so the single-record and batched
-// formats cannot drift. The CRC is computed in place over hdr rather
-// than through frameCRC's by-value [4]byte: the hardware CRC32C kernel
-// is assembly, so escape analysis would heap-copy a stack array sliced
-// into it — one hidden allocation per record on the hot path. Callers
-// pass heap-backed scratch (the Log's hdr field, the committer's batch
-// buffer), keeping both write paths at zero allocations per record.
-func putFrameHeader(hdr []byte, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[0:4])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-}
-
 // appendFrame appends one complete frame (header + payload) to dst,
-// growing it as needed. The committer uses it to pack a whole batch into
-// one buffered write. The header is built inside dst's own storage so
-// the per-frame scratch never escapes.
+// growing it as needed: the ONLY producer of the on-disk frame layout.
+// The header is built inside dst's own storage rather than in a stack
+// array: the hardware CRC32C kernel is assembly, so escape analysis would
+// heap-copy a stack array sliced into it — one hidden allocation per
+// record on the hot path.
 func appendFrame(dst []byte, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = append(dst, payload...)
-	putFrameHeader(dst[off:off+frameHeaderSize], dst[off+frameHeaderSize:])
+	hdr := dst[off : off+frameHeaderSize]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	crc := crc32.Update(0, castagnoli, hdr[0:4])
+	crc = crc32.Update(crc, castagnoli, dst[off+frameHeaderSize:])
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	return dst
 }
 
@@ -208,15 +173,14 @@ type Log struct {
 	f    vfs.File
 	path string
 	opt  Options
-	// hdr is the reused frame-header buffer (guarded by mu). A per-call
-	// stack buffer would escape to the heap on every Append: it is
-	// written through the vfs.File interface, and escape analysis cannot
-	// see that no implementation retains the slice.
-	hdr [frameHeaderSize]byte
+	// buf is the reused frame-packing buffer (guarded by mu): every
+	// write hands the file one buffer holding whole frames, so a commit
+	// allocates nothing in steady state.
+	buf []byte
 	// size is the valid byte count (file size after torn-tail
 	// truncation). Atomic, NOT guarded by mu: Size() is called from the
-	// store's group-commit hot loop (the auto-checkpoint threshold check
-	// right after each apply), and taking mu there would serialize every
+	// store's commit path (the auto-checkpoint threshold check right
+	// after each apply), and taking mu there would serialize every
 	// appender's next submission behind the fsync in flight — each
 	// client's re-submit then lands just after the flush, every batch
 	// degenerates to one record, and coalescing never happens. Writers
@@ -227,9 +191,9 @@ type Log struct {
 	dirty bool  // bytes written since the last fsync
 	err   error // sticky: first write/sync failure poisons the log
 
-	// Group-commit statistics (guarded by mu): batches and records that
-	// went through the committer, and every fsync the log issued on any
-	// path. syncs vs records is the coalescing ratio operators watch.
+	// Commit statistics (guarded by mu): writes (batches) and the records
+	// they carried, and every fsync the log issued on any path. syncs vs
+	// records is the coalescing ratio operators watch.
 	batches int64
 	records int64
 	syncs   int64
@@ -237,14 +201,14 @@ type Log struct {
 	stop chan struct{} // closes the SyncInterval goroutine
 	done chan struct{}
 
-	// com is the group committer, non-nil iff Options enabled it. Set
-	// once in Open, never mutated after — Commit reads it without mu.
+	// com is the group committer, non-nil iff the policy is SyncAlways.
+	// Set once in Open, never mutated after — Commit reads it without mu.
 	com *committer
 }
 
 // Open opens (creating if needed) the log at path, scans it to find the
 // valid record prefix, truncates any torn tail, and positions for
-// appending. The returned Log is ready for Append; the number of intact
+// appending. The returned Log is ready for Commit; the number of intact
 // records already in the log is available via Records, and callers replay
 // them with Scan before appending.
 func Open(path string, opt Options) (*Log, error) {
@@ -291,15 +255,8 @@ func Open(path string, opt Options) (*Log, error) {
 		l.done = make(chan struct{})
 		go l.syncLoop(interval, l.stop, l.done)
 	}
-	if opt.Policy == SyncAlways && opt.CommitMaxBatch > 0 {
-		wait := opt.CommitMaxWait
-		if wait == 0 {
-			wait = DefaultCommitMaxWait
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		l.com = newCommitter(l, opt.CommitMaxBatch, wait)
+	if opt.Policy == SyncAlways {
+		l.com = newCommitter(l)
 	}
 	return l, nil
 }
@@ -373,11 +330,12 @@ func (l *Log) TruncateTo(n int) error {
 	// Walk the first n frame headers to find the byte offset where
 	// record n starts; everything from there on is dropped.
 	var off int64
+	hdr := make([]byte, frameHeaderSize)
 	for i := 0; i < n; i++ {
-		if _, err := l.f.ReadAt(l.hdr[:], off); err != nil {
+		if _, err := l.f.ReadAt(hdr, off); err != nil {
 			return fmt.Errorf("wal: reread frame header: %w", err)
 		}
-		off += frameHeaderSize + int64(binary.LittleEndian.Uint32(l.hdr[0:4]))
+		off += frameHeaderSize + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	}
 	if err := l.f.Truncate(off); err != nil {
 		l.err = fmt.Errorf("wal: truncate: %w", err)
@@ -396,58 +354,20 @@ func (l *Log) TruncateTo(n int) error {
 	return nil
 }
 
-// Append writes one record. Under SyncAlways the record is fsynced
-// before Append returns: when Append returns nil, the record survives
-// any crash. A write or sync failure poisons the log — every subsequent
-// call returns the same error — because a partial frame may be on disk
-// and appending after it would be unrecoverable garbage (on restart,
-// Open truncates the partial frame away).
-func (l *Log) Append(payload []byte) error {
-	if err := checkPayload(payload); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(payload)
-}
-
-// appendLocked is Append under l.mu; the committer-less Commit path
-// shares it.
-func (l *Log) appendLocked(payload []byte) error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.f == nil {
-		return ErrClosed
-	}
-	putFrameHeader(l.hdr[:], payload)
-	if _, err := l.f.Write(l.hdr[:]); err != nil {
-		l.err = fmt.Errorf("wal: write: %w", err)
-		return l.err
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		l.err = fmt.Errorf("wal: write: %w", err)
-		return l.err
-	}
-	l.size.Add(int64(frameHeaderSize + len(payload)))
-	l.recs++
-	l.dirty = true
-	if l.opt.Policy == SyncAlways {
-		return l.syncLocked()
-	}
-	return nil
-}
-
-// Commit writes one record through the group committer and returns its
-// 1-based record number within this log: rec records exist once this one
-// is durable, so a store basing the log at generation g knows this
-// record's apply produces generation g+rec. Concurrent Commits arriving
-// within the commit window are coalesced into a single write and ONE
-// fsync; the durability contract is Append's (under SyncAlways a nil
-// error means the record survives any crash), and an I/O failure fails
-// every record in the batch with the same root error and poisons the
-// log. Without a committer (Options.CommitMaxBatch 0, or a policy other
-// than SyncAlways), Commit is exactly Append plus the record number.
+// Commit writes one record and returns its 1-based record number within
+// this log: rec records exist once this one is written, so a store basing
+// the log at generation g knows this record's apply produces generation
+// g+rec. It is the log's only write entry. Under SyncAlways the record is
+// fsynced before Commit returns — a nil error means it survives any crash
+// — and concurrent Commits are coalesced by the group committer into one
+// write and ONE fsync (commit.go). Under the weaker policies the record is
+// one frame sent in a single write; the fsync is the policy's.
+//
+// A write or sync failure poisons the log: every record in the failing
+// write gets the same root error, and every later call returns it,
+// because a partial frame may be on disk and appending after it would be
+// unrecoverable garbage (on restart, Open truncates the partial frame
+// away).
 func (l *Log) Commit(payload []byte) (rec int, err error) {
 	if err := checkPayload(payload); err != nil {
 		return 0, err
@@ -457,24 +377,55 @@ func (l *Log) Commit(payload []byte) (rec int, err error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(payload); err != nil {
+	l.buf = appendFrame(l.buf[:0], payload)
+	prev, err := l.writeLocked(1)
+	if err != nil {
 		return 0, err
 	}
-	return l.recs, nil
+	return prev + 1, nil
 }
 
-// CommitStats reports group-commit activity: batches and records that
-// went through the committer, and the number of fsyncs the log issued on
-// any path. Records/Batches is the achieved coalescing factor;
-// Syncs/Records (for a commit-only workload) is the per-record fsync
-// cost concurrency amortizes away.
+// writeLocked writes the n whole frames packed in l.buf with one Write
+// and, under SyncAlways, one fsync. It returns the number of records that
+// preceded them, so they are records prev+1..prev+n. Caller holds l.mu.
+func (l *Log) writeLocked(n int) (prev int, err error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	if l.f == nil {
+		return 0, ErrClosed
+	}
+	if _, err := l.f.Write(l.buf); err != nil {
+		l.err = fmt.Errorf("wal: write: %w", err)
+		return 0, l.err
+	}
+	l.size.Add(int64(len(l.buf)))
+	prev = l.recs
+	l.recs += n
+	l.dirty = true
+	if l.opt.Policy == SyncAlways {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
+		}
+	}
+	l.batches++
+	l.records += int64(n)
+	return prev, nil
+}
+
+// CommitStats reports commit activity: the writes (batches) Commit
+// issued and the records they carried, and the number of fsyncs the log
+// issued on any path. Under SyncAlways every batch is one fsync, so
+// Records/Batches is the achieved coalescing factor and Syncs/Records
+// (for a commit-only workload) the per-record fsync cost concurrency
+// amortizes away; under the weaker policies every batch is one record.
 type CommitStats struct {
 	Batches int64
 	Records int64
 	Syncs   int64
 }
 
-// CommitStats returns the log's group-commit counters.
+// CommitStats returns the log's commit counters.
 func (l *Log) CommitStats() CommitStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()

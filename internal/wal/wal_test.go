@@ -17,7 +17,7 @@ func appendAll(t *testing.T, path string, opt Options, payloads ...[]byte) {
 		t.Fatal(err)
 	}
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if _, err := l.Commit(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestReopenAppendsAfterExisting(t *testing.T) {
 	if l.Records() != 2 {
 		t.Fatalf("Records=%d, want 2", l.Records())
 	}
-	if err := l.Append([]byte("c")); err != nil {
+	if _, err := l.Commit([]byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -110,7 +110,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		if l.Records() != 1 || l.Size() != firstLen {
 			t.Fatalf("cut=%d: records=%d size=%d, want 1 record of %d bytes", cut, l.Records(), l.Size(), firstLen)
 		}
-		if err := l.Append([]byte("after crash")); err != nil {
+		if _, err := l.Commit([]byte("after crash")); err != nil {
 			t.Fatalf("cut=%d: append: %v", cut, err)
 		}
 		if err := l.Close(); err != nil {
@@ -178,7 +178,7 @@ func TestEmptyAndMissing(t *testing.T) {
 	if l.Size() != 0 || l.Records() != 0 {
 		t.Fatalf("fresh log: size=%d records=%d", l.Size(), l.Records())
 	}
-	if err := l.Append(nil); err == nil {
+	if _, err := l.Commit(nil); err == nil {
 		t.Fatal("empty record must be rejected")
 	}
 	if err := l.Close(); err != nil {
@@ -198,7 +198,7 @@ func TestSyncIntervalFlushesInBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("background")); err != nil {
+	if _, err := l.Commit([]byte("background")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -228,7 +228,7 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("x")); err == nil {
+	if _, err := l.Commit([]byte("x")); err == nil {
 		t.Fatal("append to a closed log must error")
 	}
 	if err := l.Sync(); err == nil {

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 func TestPublicWorkers(t *testing.T) {
@@ -125,5 +128,58 @@ func TestPublicTopKBeyondTotal(t *testing.T) {
 	// Patterns of AB: A, B, AB.
 	if len(res.Patterns) != 3 {
 		t.Errorf("got %d patterns, want 3", len(res.Patterns))
+	}
+}
+
+// TestParallelBudgetStreamMatchesResult: a run with Workers > 1 under
+// MaxPatterns streams exactly Result.Patterns, in order — not every
+// pattern a worker found before the merge trimmed the budget — with and
+// without DiscardPatterns, and a false return still truncates.
+func TestParallelBudgetStreamMatchesResult(t *testing.T) {
+	quest, err := datagen.Quest(datagen.QuestParams{D: 1, C: 20, N: 1, S: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	for i, s := range quest.Seqs {
+		names := make([]string, len(s))
+		for j, e := range s {
+			names[j] = quest.Dict.Name(e)
+		}
+		db.Add(quest.Label(i), names)
+	}
+	want, err := db.Mine(Options{MinSupport: 10, MaxPatterns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Patterns) != 3 {
+		t.Fatalf("sequential reference found %d patterns, want 3", len(want.Patterns))
+	}
+	for _, discard := range []bool{false, true} {
+		var streamed []Pattern
+		res, err := db.Mine(Options{MinSupport: 10, MaxPatterns: 3, Workers: 2, DiscardPatterns: discard,
+			OnPattern: func(p Pattern) bool { streamed = append(streamed, p); return true }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(streamed, want.Patterns) {
+			t.Fatalf("discard=%v: streamed %d patterns %v, want Result.Patterns %v", discard, len(streamed), streamed, want.Patterns)
+		}
+		if res.NumPatterns != 3 || !res.Truncated {
+			t.Fatalf("discard=%v: NumPatterns=%d Truncated=%v, want 3 and true", discard, res.NumPatterns, res.Truncated)
+		}
+		if discard != (res.Patterns == nil) || !discard && !reflect.DeepEqual(res.Patterns, want.Patterns) {
+			t.Fatalf("discard=%v: Result.Patterns = %v", discard, res.Patterns)
+		}
+	}
+
+	var streamed []Pattern
+	res, err := db.Mine(Options{MinSupport: 10, MaxPatterns: 3, Workers: 2,
+		OnPattern: func(p Pattern) bool { streamed = append(streamed, p); return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, want.Patterns[:1]) || !reflect.DeepEqual(res.Patterns, want.Patterns[:1]) || !res.Truncated {
+		t.Fatalf("stop after one: streamed %v, result %v truncated=%v", streamed, res.Patterns, res.Truncated)
 	}
 }

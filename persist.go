@@ -82,18 +82,6 @@ type OpenOptions struct {
 	// Zero selects the defaults (100ms and 30s).
 	ProbeBackoff    time.Duration
 	ProbeBackoffMax time.Duration
-	// CommitMaxBatch tunes WAL group commit under Sync=SyncAlways:
-	// concurrent Appends arriving within the commit window are coalesced
-	// into one WAL write and ONE fsync of up to this many records, so
-	// durable throughput scales with offered load instead of disk-flush
-	// latency. 0 selects the default (64; group commit is on by default
-	// under SyncAlways); negative disables coalescing, restoring the
-	// one-fsync-per-append path. Ignored under weaker policies.
-	CommitMaxBatch int
-	// CommitMaxWait bounds how long a commit batch is held open for
-	// stragglers once more appenders are en route (a lone appender never
-	// waits). 0 selects the default (1ms); negative disables waiting.
-	CommitMaxWait time.Duration
 	// FS overrides the filesystem the database performs its I/O through.
 	// It is a module-internal fault-injection hook (the type lives in an
 	// internal package): external callers leave it nil, which selects
@@ -108,8 +96,6 @@ func (o OpenOptions) internal() store.Options {
 		CheckpointWALBytes: o.CheckpointWALBytes,
 		ProbeBackoff:       o.ProbeBackoff,
 		ProbeBackoffMax:    o.ProbeBackoffMax,
-		CommitMaxBatch:     o.CommitMaxBatch,
-		CommitMaxWait:      o.CommitMaxWait,
 		FS:                 o.FS,
 	}
 }
@@ -224,12 +210,14 @@ type Persistence struct {
 	// DegradedError is the root cause.
 	Degraded      bool
 	DegradedError string
-	// CommitBatches and CommitRecords count WAL group-commit activity
-	// over the database's lifetime: coalesced batches written, and the
-	// records they carried. CommitRecords/CommitBatches is the achieved
-	// coalescing factor; CommitRecords - CommitBatches is the number of
-	// fsyncs saved versus one-fsync-per-append. Fsyncs counts every
-	// fsync issued on the database's write-ahead logs.
+	// CommitBatches and CommitRecords count WAL commit activity over the
+	// database's lifetime: batches written, and the records they carried.
+	// Under SyncAlways each batch is one fsync, so
+	// CommitRecords/CommitBatches is the achieved coalescing factor and
+	// CommitRecords - CommitBatches the number of fsyncs saved versus
+	// one-fsync-per-append; under the weaker policies each batch is one
+	// record. Fsyncs counts every fsync issued on the database's
+	// write-ahead logs.
 	CommitBatches int64
 	CommitRecords int64
 	Fsyncs        int64

@@ -333,10 +333,13 @@ type Options struct {
 	// guarantee.
 	Ctx context.Context
 	// OnPattern, when non-nil, streams every pattern as it is emitted
-	// (serialized across workers). Returning false stops the run with
-	// Result.Truncated set. The top-k search ranks its patterns only once
-	// it is done, so under TopK they stream after the search, in rank
-	// order.
+	// (serialized across workers, in the order workers find them).
+	// Returning false stops the run with Result.Truncated set. Two runs
+	// decide their patterns only once the search is done, so their
+	// patterns stream after it, exactly Result.Patterns in order: the
+	// top-k search (ranked), and a run with Workers > 1 under MaxPatterns
+	// (the budget keeps the first MaxPatterns of the sequential order,
+	// which the parallel search knows only after its merge).
 	OnPattern func(Pattern) bool
 	// DiscardPatterns suppresses accumulation in Result.Patterns — use with
 	// OnPattern when streaming huge results to keep memory flat.
@@ -479,7 +482,11 @@ func (s *Snapshot) run(opt Options) (*Result, error) {
 			streamRanked(res, emit)
 		}
 	default:
-		res, err = core.MineParallel(s.s.Index(false), core.Options{
+		// A parallel budgeted run streams after the merge trim; keep the
+		// (budget-bounded) patterns until then. Decided from the requested
+		// worker count, so the stream is the same on any host.
+		afterMerge := emit != nil && opt.Workers > 1 && opt.MaxPatterns > 0
+		copt := core.Options{
 			MinSupport:       opt.MinSupport,
 			Closed:           opt.Closed,
 			MaxPatternLength: opt.MaxPatternLength,
@@ -490,7 +497,14 @@ func (s *Snapshot) run(opt Options) (*Result, error) {
 			DiscardPatterns:  opt.DiscardPatterns,
 			Semantics:        coreSemantics(opt),
 			CompressDelta:    opt.CompressDelta,
-		}, opt.Workers)
+		}
+		if afterMerge {
+			copt.OnPattern, copt.DiscardPatterns = nil, false
+		}
+		res, err = core.MineParallel(s.s.Index(false), copt, opt.Workers)
+		if err == nil && afterMerge {
+			streamRanked(res, emit)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
@@ -513,9 +527,10 @@ func (s *Snapshot) run(opt Options) (*Result, error) {
 	return out, nil
 }
 
-// streamRanked feeds a finished top-k result through emit. A false return
-// keeps the patterns delivered so far and marks the result truncated, as
-// OnPattern does in the other modes.
+// streamRanked feeds a finished result (a top-k ranking, or a parallel
+// budgeted run after its merge) through emit. A false return keeps the
+// patterns delivered so far and marks the result truncated, as OnPattern
+// does in the other modes.
 func streamRanked(res *core.Result, emit func(core.Pattern) bool) {
 	for i, p := range res.Patterns {
 		if !emit(p) {
