@@ -17,8 +17,11 @@
 // patterns, tuned with -compress-delta), or gapped (gap-constrained,
 // tuned with -mingap/-maxgap). -workers parallelizes every mode; the
 // output is identical to a single-worker run.
-// The serve subcommand starts the long-running mining service instead
-// (same daemon as cmd/reprod):
+// The serve subcommand starts the long-running mining service instead.
+// It is the same daemon as cmd/reprod and takes the same flags (see
+// `reprod -h`): -addr, -debug-addr, -drain-timeout, -cache, -data-dir,
+// -fsync, -fsync-interval, -checkpoint-bytes, -mine-timeout,
+// -max-concurrent-mines, -replicate-from, -max-lag-bytes and -max-lag.
 //
 //	gsgrow serve -addr :8372
 //
@@ -37,20 +40,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/cli"
 )
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := runServe(os.Args[2:]); err != nil {
+		if err := cli.ServeMain(flag.NewFlagSet("serve", flag.ExitOnError), os.Args[2:], os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "gsgrow serve:", err)
 			os.Exit(1)
 		}
@@ -96,34 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gsgrow:", err)
 		os.Exit(1)
 	}
-}
-
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	var cfg cli.ServeConfig
-	fs.StringVar(&cfg.Addr, "addr", ":8372", "listen address")
-	fs.IntVar(&cfg.CacheSize, "cache", 0, "result-cache entries (0 = default, negative disables)")
-	fs.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful-shutdown drain budget (0 = default 5s)")
-	fs.StringVar(&cfg.DataDir, "data-dir", "", "host databases durably in this directory (recovered on boot; empty = in-memory)")
-	fs.StringVar(&cfg.FsyncPolicy, "fsync", "always", "WAL fsync policy for -data-dir: always, interval, never")
-	fs.DurationVar(&cfg.FsyncInterval, "fsync-interval", 0, "background fsync cadence under -fsync=interval (0 = default 100ms)")
-	fs.Int64Var(&cfg.CheckpointBytes, "checkpoint-bytes", 0, "WAL size triggering automatic compaction (0 = default 4MiB, negative disables)")
-	fs.DurationVar(&cfg.MineTimeout, "mine-timeout", 0, "per-request mining deadline; runs exceeding it answer 503 (0 = unbounded)")
-	fs.IntVar(&cfg.MaxConcurrentMines, "max-concurrent-mines", 0, "cap on mining runs in flight; excess requests answer 429 (0 = unlimited)")
-	fs.StringVar(&cfg.ReplicateFrom, "replicate-from", "", "run as a read-only follower of the primary at this base URL (requires -data-dir; empty = primary)")
-	fs.Int64Var(&cfg.MaxLagBytes, "max-lag-bytes", 0, "follower readiness gate: answer 503 on /readyz when this many WAL bytes are unshipped (0 = disabled)")
-	fs.DurationVar(&cfg.MaxLag, "max-lag", 0, "follower readiness gate: answer 503 on /readyz after this long without contact from the primary (0 = disabled)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// After the first signal starts the graceful drain, restore default
-	// signal handling so a second SIGINT/SIGTERM kills the process
-	// immediately instead of waiting out the drain.
-	go func() { <-ctx.Done(); stop() }()
-	return cli.Serve(ctx, cfg, os.Stderr)
 }
 
 // runStorage handles the durable-storage subcommands: `gsgrow inspect

@@ -257,7 +257,10 @@
 // line), and mined concurrently by many clients, with NDJSON streaming,
 // client-disconnect cancellation, and an LRU result cache keyed by
 // snapshot generation and canonical options — appending to one database
-// invalidates exactly its own cache entries.
+// invalidates exactly its own cache entries. Both commands share one
+// flag list, and its durability flags (-fsync, -fsync-interval,
+// -checkpoint-bytes) fill the same OpenOptions value a library caller
+// passes to Open.
 //
 // The subpackages under internal implement the substrate (sequence
 // database, inverted index, generators, baselines, brute-force oracles,

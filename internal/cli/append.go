@@ -42,7 +42,7 @@ func Append(cfg AppendConfig, in io.Reader, out io.Writer) error {
 	if cfg.Format == "ndjson" {
 		body = in
 	} else {
-		f, err := ParseFormat(cfg.Format)
+		f, err := seq.ParseFormat(cfg.Format)
 		if err != nil {
 			return err
 		}

@@ -17,20 +17,6 @@ import (
 	"repro/internal/seq"
 )
 
-// ParseFormat maps a CLI format name to the seq format.
-func ParseFormat(name string) (seq.Format, error) {
-	switch name {
-	case "tokens":
-		return seq.FormatTokens, nil
-	case "chars":
-		return seq.FormatChars, nil
-	case "spmf":
-		return seq.FormatSPMF, nil
-	default:
-		return 0, fmt.Errorf("unknown format %q (want tokens, chars, or spmf)", name)
-	}
-}
-
 // MineConfig mirrors cmd/gsgrow's flags.
 type MineConfig struct {
 	Format      string  // tokens, chars, spmf
@@ -140,7 +126,7 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 }
 
 func parse(format string, data []byte) (*seq.DB, error) {
-	f, err := ParseFormat(format)
+	f, err := seq.ParseFormat(format)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +205,7 @@ func Generate(cfg GenerateConfig, out, statsOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	f, err := ParseFormat(cfg.Format)
+	f, err := seq.ParseFormat(cfg.Format)
 	if err != nil {
 		return err
 	}

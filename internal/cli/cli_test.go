@@ -7,14 +7,27 @@ import (
 
 const table3 = "S1: ABCACBDDB\nS2: ACDBACADD\n"
 
+// TestParseFormat: the commands accept the three format names and keep
+// their error text for any other, on every path that names a format.
 func TestParseFormat(t *testing.T) {
-	for _, name := range []string{"tokens", "chars", "spmf"} {
-		if _, err := ParseFormat(name); err != nil {
-			t.Errorf("ParseFormat(%q): %v", name, err)
+	for name, input := range map[string]string{"tokens": "a b\n", "chars": "AB\n", "spmf": "1 -1 -2\n"} {
+		if err := Mine(MineConfig{Format: name, Stats: true}, strings.NewReader(input), &strings.Builder{}); err != nil {
+			t.Errorf("Mine -stats -format %s: %v", name, err)
 		}
 	}
-	if _, err := ParseFormat("csv"); err == nil {
-		t.Error("unknown format accepted")
+	const want = `unknown format "csv" (want tokens, chars, or spmf)`
+	if err := Generate(GenerateConfig{Dataset: "quest", Format: "csv", D: 1, C: 5, N: 1, S: 2}, &strings.Builder{}, &strings.Builder{}); err == nil || err.Error() != want {
+		t.Errorf("Generate -format csv: %v, want %q", err, want)
+	}
+	if err := Mine(MineConfig{Format: "csv", Stats: true}, strings.NewReader(table3), &strings.Builder{}); err == nil || err.Error() != want {
+		t.Errorf("Mine -stats -format csv: %v, want %q", err, want)
+	}
+	if err := Append(AppendConfig{Addr: "127.0.0.1:1", DB: "x", Format: "csv"}, strings.NewReader(table3), &strings.Builder{}); err == nil || err.Error() != want {
+		t.Errorf("Append -format csv: %v, want %q", err, want)
+	}
+	const wantMine = `repro: unknown format "csv" (want tokens, chars, spmf)`
+	if err := Mine(MineConfig{Format: "csv", MinSup: 2}, strings.NewReader(table3), &strings.Builder{}); err == nil || err.Error() != wantMine {
+		t.Errorf("Mine -format csv: %v, want %q", err, wantMine)
 	}
 }
 

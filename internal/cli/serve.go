@@ -3,21 +3,25 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/server"
 )
 
-// ServeConfig mirrors the flags of `gsgrow serve` and cmd/reprod.
+// ServeConfig is what `gsgrow serve` and cmd/reprod run: the listener
+// settings plus the server's own configuration.
 type ServeConfig struct {
-	Addr      string // listen address, e.g. ":8372"
-	CacheSize int    // result-cache entries; 0 = default, < 0 disables
+	Addr string // listen address, e.g. ":8372"
 	// DebugAddr, when non-empty, serves net/http/pprof on a second
 	// listener (e.g. "localhost:6060") so production profiles can be
 	// captured without exposing the profiler on the public address.
@@ -29,42 +33,68 @@ type ServeConfig struct {
 	// responses to drain before force-closing the remaining connections.
 	// 0 selects DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// DataDir, when non-empty, makes hosted databases durable: every
-	// database is recovered from this directory on boot, and uploads and
-	// appends are write-ahead-logged before they are acknowledged. Empty
-	// (the default) hosts everything in memory.
-	DataDir string
-	// FsyncPolicy is the WAL fsync policy for durable databases:
-	// "always" (default; acknowledged writes survive any crash),
-	// "interval", or "never".
-	FsyncPolicy string
-	// FsyncInterval is the background fsync cadence under "interval";
-	// 0 selects the 100ms default.
-	FsyncInterval time.Duration
-	// CheckpointBytes triggers automatic WAL compaction when the log
-	// exceeds this size; 0 selects the 4 MiB default, negative disables.
-	CheckpointBytes int64
-	// MineTimeout bounds each mining run with a per-request deadline;
-	// runs that exceed it answer 503. 0 = unbounded (client cancellation
-	// and graceful shutdown still abort runs).
-	MineTimeout time.Duration
-	// MaxConcurrentMines caps mining runs in flight; excess requests are
-	// shed with 429 instead of queueing. 0 = unlimited.
-	MaxConcurrentMines int
-	// ReplicateFrom, when non-empty, runs the server as a read-only
-	// follower of the primary at this base URL (e.g.
-	// "http://primary:8372"): every database on the primary is
-	// bootstrapped into DataDir and kept current by tailing its WAL.
-	// Requires DataDir. Empty (the default) serves as a primary.
-	ReplicateFrom string
-	// MaxLagBytes fails a follower's readiness (503 on /readyz) when the
-	// primary reports this many unshipped WAL bytes. 0 disables the
-	// bytes-based gate.
-	MaxLagBytes int64
-	// MaxLag fails a follower's readiness when no frame (data or
-	// heartbeat) has arrived from the primary for this long. 0 disables
-	// the staleness gate.
-	MaxLag time.Duration
+	// Server configures the hosted service (cache, durability, admission,
+	// replication). Serve fills in Logf when it is nil.
+	Server server.Config
+}
+
+// ServeFlags registers the flags of `gsgrow serve` and cmd/reprod on fs
+// and returns the config that parsing fs fills in.
+func ServeFlags(fs *flag.FlagSet) *ServeConfig {
+	cfg := &ServeConfig{}
+	sc := &cfg.Server
+	fs.StringVar(&cfg.Addr, "addr", ":8372", "listen address")
+	fs.IntVar(&sc.CacheSize, "cache", 0, "result-cache entries (0 = default, negative disables)")
+	fs.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful-shutdown drain budget (0 = default 5s)")
+	fs.StringVar(&sc.DataDir, "data-dir", "", "host databases durably in this directory (recovered on boot; empty = in-memory)")
+	fs.Var(syncFlag{&sc.Open.Sync}, "fsync", "WAL fsync policy for -data-dir: always, interval, never")
+	fs.DurationVar(&sc.Open.SyncInterval, "fsync-interval", 0, "background fsync cadence under -fsync=interval (0 = default 100ms)")
+	fs.Int64Var(&sc.Open.CheckpointWALBytes, "checkpoint-bytes", 0, "WAL size triggering automatic compaction (0 = default 4MiB, negative disables)")
+	fs.DurationVar(&sc.MineTimeout, "mine-timeout", 0, "per-request mining deadline; runs exceeding it answer 503 (0 = unbounded)")
+	fs.IntVar(&sc.MaxConcurrentMines, "max-concurrent-mines", 0, "cap on mining runs in flight; excess requests answer 429 (0 = unlimited)")
+	fs.StringVar(&sc.ReplicateFrom, "replicate-from", "", "run as a read-only follower of the primary at this base URL (requires -data-dir; empty = primary)")
+	fs.Int64Var(&sc.MaxLagBytes, "max-lag-bytes", 0, "follower readiness gate: answer 503 on /readyz when this many WAL bytes are unshipped (0 = disabled)")
+	fs.DurationVar(&sc.MaxLag, "max-lag", 0, "follower readiness gate: answer 503 on /readyz after this long without contact from the primary (0 = disabled)")
+	return cfg
+}
+
+// syncFlag parses -fsync straight into a repro.SyncPolicy; the zero
+// policy, SyncAlways, is the default, and so is an empty value.
+type syncFlag struct{ p *repro.SyncPolicy }
+
+func (f syncFlag) String() string {
+	if f.p == nil {
+		return ""
+	}
+	return f.p.String()
+}
+
+func (f syncFlag) Set(s string) error {
+	if s == "" {
+		*f.p = repro.SyncAlways
+		return nil
+	}
+	p, err := repro.ParseSyncPolicy(s)
+	if err == nil {
+		*f.p = p
+	}
+	return err
+}
+
+// ServeMain parses args with the serve flags registered on fs and serves
+// until SIGINT or SIGTERM. The first signal starts the graceful drain; it
+// also restores default signal handling, so a second signal kills the
+// process immediately instead of waiting out the drain.
+func ServeMain(fs *flag.FlagSet, args []string, out io.Writer) error {
+	cfg := ServeFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	go func() { <-ctx.Done(); stop() }()
+	return Serve(ctx, *cfg, out)
 }
 
 // DefaultDrainTimeout is the graceful-shutdown drain budget when
@@ -93,30 +123,14 @@ func debugHandler() http.Handler {
 // reported on out before serving, so callers binding ":0" can discover
 // the port.
 func Serve(ctx context.Context, cfg ServeConfig, out io.Writer) error {
-	sync := repro.SyncAlways
-	if cfg.FsyncPolicy != "" {
-		var err error
-		if sync, err = repro.ParseSyncPolicy(cfg.FsyncPolicy); err != nil {
-			return err
-		}
-	}
-	srv, err := server.New(server.Config{
-		CacheSize:          cfg.CacheSize,
-		DataDir:            cfg.DataDir,
-		Sync:               sync,
-		SyncInterval:       cfg.FsyncInterval,
-		CheckpointWALBytes: cfg.CheckpointBytes,
-		MineTimeout:        cfg.MineTimeout,
-		MaxConcurrentMines: cfg.MaxConcurrentMines,
-		ReplicateFrom:      cfg.ReplicateFrom,
-		MaxLagBytes:        cfg.MaxLagBytes,
-		MaxLag:             cfg.MaxLag,
+	if cfg.Server.Logf == nil {
 		// Replication progress (bootstraps, reconnects, reconciliation)
 		// goes to the same stream as the listen/shutdown lines.
-		Logf: func(format string, args ...any) {
+		cfg.Server.Logf = func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
-		},
-	})
+		}
+	}
+	srv, err := server.New(cfg.Server)
 	if err != nil {
 		return err
 	}

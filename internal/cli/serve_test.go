@@ -2,14 +2,17 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/server"
 )
 
 // TestServeLifecycle boots the service on an ephemeral port, round-trips
@@ -239,9 +242,11 @@ func TestServeShutdownFlushesWAL(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- Serve(ctx, ServeConfig{
-			Addr:        "127.0.0.1:0",
-			DataDir:     dataDir,
-			FsyncPolicy: "never", // shutdown flush is the only barrier
+			Addr: "127.0.0.1:0",
+			Server: server.Config{
+				DataDir: dataDir,
+				Open:    repro.OpenOptions{Sync: repro.SyncNever}, // shutdown flush is the only barrier
+			},
 		}, addrWriter{addrc})
 	}()
 	var base string
@@ -297,5 +302,70 @@ func TestServeShutdownFlushesWAL(t *testing.T) {
 	}
 	if got := snap.Stats().TotalLength; got != 12+10 {
 		t.Errorf("recovered %d events, want 22 (12 uploaded + 5x2 appended)", got)
+	}
+}
+
+// TestServeFlags parses a full flag line through the one serve flag set
+// (every flag reprod and `gsgrow serve` accept) and checks where each
+// value lands; a bad -fsync is rejected at parse time.
+func TestServeFlags(t *testing.T) {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	cfg := ServeFlags(fs)
+	err := fs.Parse([]string{
+		"-addr", "127.0.0.1:9000",
+		"-debug-addr", "127.0.0.1:6060",
+		"-cache", "-1",
+		"-data-dir", "/srv/data",
+		"-fsync", "interval",
+		"-checkpoint-bytes", "1048576",
+		"-drain-timeout", "7s",
+		"-fsync-interval", "25ms",
+		"-mine-timeout", "3s",
+		"-max-concurrent-mines", "4",
+		"-replicate-from", "http://primary:8372",
+		"-max-lag-bytes", "4096",
+		"-max-lag", "2s",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Addr != "127.0.0.1:9000" || cfg.DebugAddr != "127.0.0.1:6060" || cfg.DrainTimeout != 7*time.Second {
+		t.Errorf("listener fields: %+v", cfg)
+	}
+	sc := cfg.Server
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"cache", sc.CacheSize, -1},
+		{"data-dir", sc.DataDir, "/srv/data"},
+		{"fsync", sc.Open.Sync, repro.SyncInterval},
+		{"checkpoint-bytes", sc.Open.CheckpointWALBytes, int64(1 << 20)},
+		{"fsync-interval", sc.Open.SyncInterval, 25 * time.Millisecond},
+		{"mine-timeout", sc.MineTimeout, 3 * time.Second},
+		{"max-concurrent-mines", sc.MaxConcurrentMines, 4},
+		{"replicate-from", sc.ReplicateFrom, "http://primary:8372"},
+		{"max-lag-bytes", sc.MaxLagBytes, int64(4096)},
+		{"max-lag", sc.MaxLag, 2 * time.Second},
+	} {
+		if c.got != c.want {
+			t.Errorf("-%s: got %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if sc.Sync != 0 || sc.CheckpointWALBytes != 0 || sc.Open.FS != nil || sc.Open.ProbeBackoff != 0 || sc.Open.ProbeBackoffMax != 0 || sc.Logf != nil {
+		t.Errorf("flags set fields no flag names: %+v", sc)
+	}
+
+	// Defaults: an empty flag line is the zero config plus -addr.
+	def := ServeFlags(flag.NewFlagSet("serve", flag.ContinueOnError))
+	if want := (ServeConfig{Addr: ":8372"}); !reflect.DeepEqual(*def, want) {
+		t.Errorf("defaults: %+v, want %+v", *def, want)
+	}
+
+	bad := flag.NewFlagSet("serve", flag.ContinueOnError)
+	bad.SetOutput(io.Discard)
+	ServeFlags(bad)
+	if err := bad.Parse([]string{"-fsync", "sometimes"}); err == nil || !strings.Contains(err.Error(), "unknown fsync policy") {
+		t.Errorf("-fsync sometimes: %v, want an unknown-policy error", err)
 	}
 }

@@ -224,3 +224,21 @@ func TestFollowerLocalDiskFaultHeals(t *testing.T) {
 		t.Fatal("follower diverged after disk fault heal")
 	}
 }
+
+// TestWriteMetaAtomic: a replica marker whose rewrite fails keeps the
+// previous marker readable, so a failed write never unmarks a replica.
+func TestWriteMetaAtomic(t *testing.T) {
+	dir := t.TempDir()
+	old := Meta{Upstream: "http://p", Database: "db", Epoch: "e1"}
+	if err := WriteMeta(vfs.OS, dir, old); err != nil {
+		t.Fatal(err)
+	}
+	ffs := vfs.NewFaultFS(vfs.OS)
+	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: MetaFile, At: 0, Err: syscall.EIO})
+	if err := WriteMeta(ffs, dir, Meta{Upstream: "http://p", Database: "db", Epoch: "e2"}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("WriteMeta with a failing rename: %v, want EIO", err)
+	}
+	if got, err := ReadMeta(vfs.OS, dir); err != nil || got != old {
+		t.Fatalf("marker after a failed rewrite: %+v, %v; want %+v", got, err, old)
+	}
+}

@@ -64,30 +64,10 @@ func WriteMeta(fsys vfs.FS, dir string, m Meta) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := fsys.CreateTemp(dir, MetaFile+".tmp")
-	if err != nil {
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, MetaFile), data); err != nil {
 		return fmt.Errorf("repl: write %s: %w", MetaFile, err)
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		fsys.Remove(name)
-		return fmt.Errorf("repl: write %s: %w", MetaFile, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(name)
-		return fmt.Errorf("repl: sync %s: %w", MetaFile, err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(name)
-		return fmt.Errorf("repl: close %s: %w", MetaFile, err)
-	}
-	if err := fsys.Rename(name, filepath.Join(dir, MetaFile)); err != nil {
-		fsys.Remove(name)
-		return fmt.Errorf("repl: install %s: %w", MetaFile, err)
-	}
-	return fsys.SyncDir(dir)
+	return nil
 }
 
 // RemoveMeta durably removes the replica marker, switching the

@@ -25,6 +25,28 @@ const (
 	FormatSPMF
 )
 
+// formatNames is the one table of format names, shared by every flag
+// and by the HTTP API.
+var formatNames = [...]string{FormatTokens: "tokens", FormatChars: "chars", FormatSPMF: "spmf"}
+
+// String returns the format's flag/wire name.
+func (f Format) String() string {
+	if f >= 0 && int(f) < len(formatNames) {
+		return formatNames[f]
+	}
+	return fmt.Sprintf("Format(%d)", int(f))
+}
+
+// ParseFormat maps a format name ("tokens", "chars", "spmf") to a Format.
+func ParseFormat(name string) (Format, error) {
+	for f, n := range formatNames {
+		if n == name {
+			return Format(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown format %q (want tokens, chars, or spmf)", name)
+}
+
 // ParseError reports a parse failure with 1-based line information.
 type ParseError struct {
 	Line int

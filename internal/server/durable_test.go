@@ -13,7 +13,7 @@ import (
 
 // durableConfig hosts databases in dir with fsync=always.
 func durableConfig(dir string) Config {
-	return Config{DataDir: dir, Sync: repro.SyncAlways}
+	return Config{DataDir: dir, Open: repro.OpenOptions{Sync: repro.SyncAlways}}
 }
 
 // TestDurableUploadSurvivesRestart uploads and appends against a durable

@@ -143,12 +143,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErrorFor(w, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
+	body := http.MaxBytesReader(w, r.Body, DefaultMaxUploadBytes)
 	db, err := repro.Load(body, format)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", s.maxUpload)
+			writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", DefaultMaxUploadBytes)
 			return
 		}
 		writeError(w, http.StatusBadRequest, "parse: %v", err)
@@ -181,14 +181,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			writeErrorFor(w, err) // wraps ErrStorage -> 500
 			return
 		}
-		if err := writeFormatMeta(dir, format.String()); err != nil {
+		if err := s.writeSidecar(dir, formatMetaFile, format.String()); err != nil {
 			durable.Close()
 			writeError(w, http.StatusInternalServerError, "record format: %v", err)
 			return
 		}
 		// A new upload is a new lineage: followers of this name must
 		// re-bootstrap, which the fresh epoch tells them.
-		if written, err := writeEpochMeta(dir); err == nil {
+		if written, err := s.writeEpoch(dir); err == nil {
 			epoch = written
 		}
 		db = durable
@@ -223,7 +223,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErrorFor(w, errUnknownDatabase(r.PathValue("name")))
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxUpload))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxUploadBytes))
 	applied := 0
 	batch := make([]repro.Record, 0, appendChunkSize)
 	// flush applies one chunk; on a durable host a WAL write failure means

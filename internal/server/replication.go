@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro"
@@ -46,9 +44,10 @@ func newEpoch() string {
 	return hex.EncodeToString(b[:])
 }
 
-func writeEpochMeta(dir string) (string, error) {
+// writeEpoch mints a fresh epoch and records it in dir.
+func (s *Server) writeEpoch(dir string) (string, error) {
 	e := newEpoch()
-	if err := os.WriteFile(filepath.Join(dir, EpochMetaFile), []byte(e+"\n"), 0o644); err != nil {
+	if err := s.writeSidecar(dir, EpochMetaFile, e); err != nil {
 		return "", err
 	}
 	return e, nil
@@ -56,12 +55,11 @@ func writeEpochMeta(dir string) (string, error) {
 
 // readOrCreateEpoch returns the directory's recorded epoch, minting one
 // for directories from before epochs existed.
-func readOrCreateEpoch(dir string) string {
-	data, err := os.ReadFile(filepath.Join(dir, EpochMetaFile))
-	if e := strings.TrimSpace(string(data)); err == nil && e != "" {
+func (s *Server) readOrCreateEpoch(dir string) string {
+	if e, ok := s.readSidecar(dir, EpochMetaFile); ok && e != "" {
 		return e
 	}
-	e, err := writeEpochMeta(dir)
+	e, err := s.writeEpoch(dir)
 	if err != nil {
 		// Served from memory this run; followers re-bootstrap after the
 		// next restart mints a different epoch. Harmless, just wasteful.
@@ -125,7 +123,7 @@ func (s *Server) replicationEntry(w http.ResponseWriter, r *http.Request) (*dbEn
 }
 
 func (s *Server) feed() *repl.Feed {
-	return &repl.Feed{FS: s.openOpts.FS, Poll: s.replPoll, Heartbeat: s.replHeartbeat}
+	return &repl.Feed{FS: s.openOpts.FS, Poll: s.tuning.poll, Heartbeat: s.tuning.heartbeat}
 }
 
 func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
@@ -168,7 +166,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "promote %q: %v", name, err)
 		return
 	}
-	epoch, err := writeEpochMeta(s.dbDir(name))
+	epoch, err := s.writeEpoch(s.dbDir(name))
 	if err != nil {
 		// The promotion itself held (writes are accepted); only the new
 		// lineage marker is missing. Serve with an unpersisted epoch.
@@ -208,52 +206,6 @@ func closeEntry(e *dbEntry) error {
 	return e.db.Close()
 }
 
-// recoverFollower rebuilds follower-mode state from the data dir:
-// replica directories resume tailing from their local position (no
-// network needed — a follower restarts fine while the primary is down),
-// and directories promoted in a previous life open as ordinary local
-// primaries. Databases the upstream has that are missing locally are
-// picked up by the manager's first sync.
-func (s *Server) recoverFollower() error {
-	if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
-		return fmt.Errorf("server: data dir: %w", err)
-	}
-	entries, err := os.ReadDir(s.dataDir)
-	if err != nil {
-		return fmt.Errorf("server: data dir: %w", err)
-	}
-	for _, de := range entries {
-		if !de.IsDir() || !dbNameRE.MatchString(de.Name()) {
-			continue
-		}
-		name := de.Name()
-		dir := s.dbDir(name)
-		if repl.HasMeta(s.fsys(), dir) {
-			if err := s.openReplicaEntry(name, readFormatMeta(dir)); err != nil {
-				// Unreachable primary AND unusable local state; the manager
-				// retries on its next sync.
-				s.logf("server: follower: recover %q: %v", name, err)
-			}
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, formatMetaFile)); err != nil {
-			continue
-		}
-		// A directory without the replica marker was promoted (or created
-		// before this server became a follower): it is locally primary.
-		db, err := repro.Open(dir, s.openOpts)
-		if err != nil {
-			return fmt.Errorf("server: recover promoted database %q: %w", name, err)
-		}
-		if db.NumSequences() == 0 {
-			db.Close()
-			continue
-		}
-		s.put(name, readFormatMeta(dir), readOrCreateEpoch(dir), db)
-	}
-	return nil
-}
-
 // openReplicaEntry opens (or resumes) one replica and registers it.
 func (s *Server) openReplicaEntry(name, formatName string) error {
 	unlock := s.lockDir(name)
@@ -264,14 +216,14 @@ func (s *Server) openReplicaEntry(name, formatName string) error {
 	dir := s.dbDir(name)
 	r, err := repro.OpenReplica(s.replicateFrom, name, dir, repro.ReplicaOptions{
 		Open:       s.openOpts,
-		Backoff:    s.replBackoff,
-		BackoffMax: s.replBackoffMax,
+		Backoff:    s.tuning.backoff,
+		BackoffMax: s.tuning.backoffMax,
 		Logf:       s.logf,
 	})
 	if err != nil {
 		return err
 	}
-	if err := writeFormatMeta(dir, formatName); err != nil {
+	if err := s.writeSidecar(dir, formatMetaFile, formatName); err != nil {
 		s.logf("server: follower: record format for %q: %v", name, err)
 	}
 	s.mu.Lock()
@@ -321,7 +273,7 @@ func (s *Server) runManager() {
 		select {
 		case <-s.stopCh:
 			return
-		case <-time.After(s.managerPoll):
+		case <-time.After(s.tuning.managerPoll):
 		}
 	}
 }

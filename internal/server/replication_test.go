@@ -19,11 +19,10 @@ import (
 func newPrimaryServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s := mustNew(t, Config{
-		DataDir:       t.TempDir(),
-		Sync:          repro.SyncAlways,
-		ReplPoll:      time.Millisecond,
-		ReplHeartbeat: 20 * time.Millisecond,
-		Logf:          t.Logf,
+		DataDir: t.TempDir(),
+		Open:    repro.OpenOptions{Sync: repro.SyncAlways},
+		Logf:    t.Logf,
+		tuning:  replTuning{poll: time.Millisecond, heartbeat: 20 * time.Millisecond},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
@@ -38,11 +37,7 @@ func newFollowerServer(t *testing.T, upstream string, cfg Config) (*Server, *htt
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
 	}
-	if cfg.ManagerPoll == 0 {
-		cfg.ManagerPoll = 5 * time.Millisecond
-	}
-	cfg.ReplBackoff = time.Millisecond
-	cfg.ReplBackoffMax = 20 * time.Millisecond
+	cfg.tuning = replTuning{managerPoll: 5 * time.Millisecond, backoff: time.Millisecond, backoffMax: 20 * time.Millisecond}
 	cfg.Logf = t.Logf
 	s := mustNew(t, cfg)
 	ts := httptest.NewServer(s.Handler())

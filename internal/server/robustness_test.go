@@ -16,11 +16,13 @@ import (
 // rather than racing the heal.
 func faultyConfig(dir string, ffs *vfs.FaultFS) Config {
 	return Config{
-		DataDir:         dir,
-		Sync:            repro.SyncAlways,
-		FS:              ffs,
-		ProbeBackoff:    10 * time.Minute,
-		ProbeBackoffMax: 10 * time.Minute,
+		DataDir: dir,
+		Open: repro.OpenOptions{
+			Sync:            repro.SyncAlways,
+			FS:              ffs,
+			ProbeBackoff:    10 * time.Minute,
+			ProbeBackoffMax: 10 * time.Minute,
+		},
 	}
 }
 
@@ -89,8 +91,8 @@ func TestDegradedAppendAnswers503MineStillServes(t *testing.T) {
 func TestProberRestoresServiceAfterSpaceFreed(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS)
 	cfg := faultyConfig(t.TempDir(), ffs)
-	cfg.ProbeBackoff = 2 * time.Millisecond
-	cfg.ProbeBackoffMax = 10 * time.Millisecond
+	cfg.Open.ProbeBackoff = 2 * time.Millisecond
+	cfg.Open.ProbeBackoffMax = 10 * time.Millisecond
 	srv := mustNew(t, cfg)
 	defer srv.Close()
 	h := srv.Handler()

@@ -49,31 +49,22 @@ type Config struct {
 	// CacheSize is the number of mining results kept in the LRU.
 	// 0 selects DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// MaxUploadBytes bounds database upload size. 0 selects
-	// DefaultMaxUploadBytes.
-	MaxUploadBytes int64
 	// DataDir, when non-empty, makes hosted databases durable: each
 	// database lives in DataDir/<name> as checkpoint segments plus a
 	// write-ahead log, uploads and appends are logged before they are
 	// acknowledged, and New recovers every database found under DataDir.
 	// Empty (the default) hosts everything in memory, exactly as before.
 	DataDir string
-	// Sync is the WAL fsync policy for durable databases. The zero value
-	// is SyncAlways: an acknowledged append can never be lost. Ignored
-	// without DataDir.
-	Sync repro.SyncPolicy
-	// SyncInterval is the background fsync cadence under SyncInterval.
-	SyncInterval time.Duration
-	// CheckpointWALBytes triggers automatic WAL compaction; see
-	// repro.OpenOptions.
+	// Open configures every durable database the server opens, creates
+	// or replicates (fsync policy, checkpoint threshold, degraded-mode
+	// prober); its FS is also what the boot walk and the sidecar metadata
+	// files go through. Ignored without DataDir.
+	Open repro.OpenOptions
+	// Sync and CheckpointWALBytes, when nonzero, override Open.Sync and
+	// Open.CheckpointWALBytes. They are kept for callers written before
+	// Open existed (perfbench/trace.go); new code sets Open.
+	Sync               repro.SyncPolicy
 	CheckpointWALBytes int64
-	// ProbeBackoff and ProbeBackoffMax tune the degraded-mode recovery
-	// prober of durable databases; see repro.OpenOptions.
-	ProbeBackoff    time.Duration
-	ProbeBackoffMax time.Duration
-	// FS overrides the filesystem durable databases use; a test-only
-	// fault-injection hook (see repro.OpenOptions.FS). Nil = the OS.
-	FS vfs.FS
 	// MineTimeout bounds each mining run with a per-request deadline:
 	// a run that exceeds it is aborted and answered 503. 0 = unbounded
 	// (client cancellation still applies).
@@ -95,24 +86,25 @@ type Config struct {
 	// reads to it. 0 disables each bound.
 	MaxLagBytes int64
 	MaxLag      time.Duration
-	// ReplPoll and ReplHeartbeat tune the primary-side feed cadences;
-	// ReplBackoff/ReplBackoffMax the follower's reconnect schedule;
-	// ManagerPoll how often follower mode reconciles against the
-	// upstream's database list. Zero selects the defaults. Exposed mainly
-	// so tests can run replication at millisecond cadence.
-	ReplPoll       time.Duration
-	ReplHeartbeat  time.Duration
-	ReplBackoff    time.Duration
-	ReplBackoffMax time.Duration
-	ManagerPoll    time.Duration
 	// Logf, when set, receives operational log lines (replication
 	// progress, follower reconciliation). Nil discards them.
 	Logf func(format string, args ...any)
+
+	// tuning shortens the replication cadences in this package's tests.
+	tuning replTuning
+}
+
+// replTuning holds the replication cadences; zero selects each default.
+type replTuning struct {
+	poll, heartbeat     time.Duration // primary-side feed
+	backoff, backoffMax time.Duration // follower reconnect schedule
+	managerPoll         time.Duration // follower reconciliation with the upstream's list
 }
 
 // Defaults for Config zero values.
 const (
-	DefaultCacheSize      = 64
+	DefaultCacheSize = 64
+	// DefaultMaxUploadBytes bounds an upload or append request body.
 	DefaultMaxUploadBytes = 256 << 20 // 256 MiB
 )
 
@@ -128,9 +120,8 @@ type Server struct {
 	// can never be served for the replacement database.
 	gen uint64
 
-	cache     *resultCache
-	maxUpload int64
-	started   time.Time
+	cache   *resultCache
+	started time.Time
 
 	// mineTimeout bounds each mining run; 0 = unbounded. mineSem is the
 	// admission-control semaphore (nil = unlimited): a slot is held for
@@ -146,20 +137,16 @@ type Server struct {
 
 	// Replication state. replicateFrom != "" selects follower mode; the
 	// manager goroutine (runManager) reconciles the replica set until
-	// stopCh closes. The cadences are test-tunable via Config.
-	replicateFrom  string
-	maxLagBytes    int64
-	maxLag         time.Duration
-	replPoll       time.Duration
-	replHeartbeat  time.Duration
-	replBackoff    time.Duration
-	replBackoffMax time.Duration
-	managerPoll    time.Duration
-	managerClient  *http.Client
-	stopCh         chan struct{}
-	managerDone    chan struct{}
-	closeOnce      sync.Once
-	logFn          func(format string, args ...any)
+	// stopCh closes.
+	replicateFrom string
+	maxLagBytes   int64
+	maxLag        time.Duration
+	tuning        replTuning
+	managerClient *http.Client
+	stopCh        chan struct{}
+	managerDone   chan struct{}
+	closeOnce     sync.Once
+	logFn         func(format string, args ...any)
 	// dirMu serializes the operations that mutate a database's directory
 	// (durable upload-replace, delete), per name. Two writers in one
 	// directory — e.g. a replaced-but-still-open store's auto-checkpoint
@@ -208,37 +195,28 @@ func New(cfg Config) (*Server, error) {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	maxUpload := cfg.MaxUploadBytes
-	if maxUpload == 0 {
-		maxUpload = DefaultMaxUploadBytes
+	open := cfg.Open
+	if cfg.Sync != 0 {
+		open.Sync = cfg.Sync
+	}
+	if cfg.CheckpointWALBytes != 0 {
+		open.CheckpointWALBytes = cfg.CheckpointWALBytes
 	}
 	s := &Server{
-		dbs:         make(map[string]*dbEntry),
-		cache:       newResultCache(size),
-		maxUpload:   maxUpload,
-		started:     time.Now(),
-		dataDir:     cfg.DataDir,
-		mineTimeout: cfg.MineTimeout,
-		openOpts: repro.OpenOptions{
-			Sync:               cfg.Sync,
-			SyncInterval:       cfg.SyncInterval,
-			CheckpointWALBytes: cfg.CheckpointWALBytes,
-			ProbeBackoff:       cfg.ProbeBackoff,
-			ProbeBackoffMax:    cfg.ProbeBackoffMax,
-			FS:                 cfg.FS,
-		},
-		replicateFrom:  strings.TrimRight(cfg.ReplicateFrom, "/"),
-		maxLagBytes:    cfg.MaxLagBytes,
-		maxLag:         cfg.MaxLag,
-		replPoll:       cfg.ReplPoll,
-		replHeartbeat:  cfg.ReplHeartbeat,
-		replBackoff:    cfg.ReplBackoff,
-		replBackoffMax: cfg.ReplBackoffMax,
-		managerPoll:    cfg.ManagerPoll,
-		logFn:          cfg.Logf,
+		dbs:           make(map[string]*dbEntry),
+		cache:         newResultCache(size),
+		started:       time.Now(),
+		dataDir:       cfg.DataDir,
+		mineTimeout:   cfg.MineTimeout,
+		openOpts:      open,
+		replicateFrom: strings.TrimRight(cfg.ReplicateFrom, "/"),
+		maxLagBytes:   cfg.MaxLagBytes,
+		maxLag:        cfg.MaxLag,
+		tuning:        cfg.tuning,
+		logFn:         cfg.Logf,
 	}
-	if s.managerPoll <= 0 {
-		s.managerPoll = DefaultManagerPoll
+	if s.tuning.managerPoll <= 0 {
+		s.tuning.managerPoll = DefaultManagerPoll
 	}
 	if cfg.MaxConcurrentMines > 0 {
 		s.mineSem = make(chan struct{}, cfg.MaxConcurrentMines)
@@ -248,18 +226,17 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: follower mode (-replicate-from) requires a data dir")
 		}
 		s.managerClient = &http.Client{Timeout: 10 * time.Second}
-		if err := s.recoverFollower(); err != nil {
+	}
+	if cfg.DataDir != "" {
+		if err := s.boot(); err != nil {
+			s.Close()
 			return nil, err
 		}
+	}
+	if s.replicateFrom != "" {
 		s.stopCh = make(chan struct{})
 		s.managerDone = make(chan struct{})
 		go s.runManager()
-		return s, nil
-	}
-	if cfg.DataDir != "" {
-		if err := s.recoverAll(); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -280,55 +257,88 @@ func (s *Server) fsys() vfs.FS {
 	return vfs.OS
 }
 
-// recoverAll opens every database directory under dataDir. Names are
-// sorted so upload generations are assigned deterministically across
-// restarts.
-func (s *Server) recoverAll() error {
-	if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
+// What the boot walk does with one directory of the data dir.
+const (
+	bootIgnore  = iota // not a served database: left alone, silently
+	bootSkip           // a replica directory on a primary: logged, not served
+	bootPrimary        // opened as a local primary; ignored if it holds no data
+	bootReplica        // resumed as a replica of the upstream
+)
+
+// bootAction is the boot walk's decision table. Only directories this
+// server created are databases: every acknowledged upload wrote
+// format.meta before its 201, and a crash before that point left an
+// unacknowledged upload, which the next upload simply replaces. A
+// replica directory is served only in follower mode; serving it as a
+// primary would fork the lineage silently, so the operator decides
+// (restart with -replicate-from, or promote the directory).
+//
+//	follower  replica.meta  format.meta  action
+//	yes       yes           any          resume the replica
+//	any       no            no           ignore
+//	no        yes           no           ignore
+//	no        yes           yes          skip, with a log line
+//	any       no            yes          open as a primary (promoted, or
+//	                                     created before follower mode)
+func bootAction(follower, replica, format bool) int {
+	switch {
+	case follower && replica:
+		return bootReplica
+	case !format:
+		return bootIgnore
+	case replica:
+		return bootSkip
+	default:
+		return bootPrimary
+	}
+}
+
+// boot is the one walk over the data dir at startup: it hosts every
+// database directory as bootAction decides, reading through the
+// configured FS. ReadDir sorts names, so upload generations are assigned
+// deterministically across restarts. A replica resumes from its local
+// position, so a follower restarts fine while the primary is down;
+// databases the upstream has but the data dir lacks are picked up by the
+// manager's first sync.
+func (s *Server) boot() error {
+	fsys := s.fsys()
+	if err := fsys.MkdirAll(s.dataDir, 0o755); err != nil {
 		return fmt.Errorf("server: data dir: %w", err)
 	}
-	entries, err := os.ReadDir(s.dataDir)
+	entries, err := fsys.ReadDir(s.dataDir)
 	if err != nil {
 		return fmt.Errorf("server: data dir: %w", err)
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		// Only directories that are valid database names are ours; anything
-		// else in the data dir is left alone.
-		if e.IsDir() && dbNameRE.MatchString(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dir := s.dbDir(name)
-		// Only directories this server created are databases, and every
-		// acknowledged upload wrote format.meta before its 201 (a crash
-		// before that point left an unacknowledged upload, which the next
-		// upload simply replaces). Skipping everything else keeps Open —
-		// which creates a WAL file — from planting storage files in
-		// foreign directories that merely live under the data dir.
-		if _, err := os.Stat(filepath.Join(dir, formatMetaFile)); err != nil {
+	for _, de := range entries {
+		// Only directories that are valid database names are ours;
+		// anything else in the data dir is left alone.
+		if !de.IsDir() || !dbNameRE.MatchString(de.Name()) {
 			continue
 		}
-		if repl.HasMeta(s.fsys(), dir) {
-			// A replica directory from a follower-mode run. Serving it as a
-			// primary would fork the lineage silently; the operator decides —
-			// restart with -replicate-from, or promote the directory.
+		name, dir := de.Name(), s.dbDir(de.Name())
+		format, hasFormat := s.readFormat(dir)
+		switch bootAction(s.replicateFrom != "", repl.HasMeta(fsys, dir), hasFormat) {
+		case bootReplica:
+			if err := s.openReplicaEntry(name, format); err != nil {
+				// Unreachable primary AND unusable local state; the
+				// manager retries on its next sync.
+				s.logf("server: follower: recover %q: %v", name, err)
+			}
+		case bootSkip:
 			s.logf("server: %q is a replica directory; skipped (promote it or restart with -replicate-from)", name)
-			continue
+		case bootPrimary:
+			db, err := repro.Open(dir, s.openOpts)
+			if err != nil {
+				return fmt.Errorf("server: recover database %q: %w", name, err)
+			}
+			if db.NumSequences() == 0 {
+				// An empty database (e.g. deleted files, fresh dir with
+				// only a meta file) is not served; don't surface a ghost.
+				db.Close()
+				continue
+			}
+			s.put(name, format, s.readOrCreateEpoch(dir), db)
 		}
-		db, err := repro.Open(dir, s.openOpts)
-		if err != nil {
-			return fmt.Errorf("server: recover database %q: %w", name, err)
-		}
-		if db.NumSequences() == 0 {
-			// An empty database (e.g. deleted files, fresh dir with only a
-			// meta file) is not served; don't surface a ghost.
-			db.Close()
-			continue
-		}
-		s.put(name, readFormatMeta(dir), readOrCreateEpoch(dir), db)
 	}
 	return nil
 }
@@ -344,20 +354,27 @@ func (s *Server) dbDir(name string) string {
 // segment/WAL files, so the meta file survives re-uploads.
 const formatMetaFile = "format.meta"
 
-func writeFormatMeta(dir, formatName string) error {
-	return os.WriteFile(filepath.Join(dir, formatMetaFile), []byte(formatName+"\n"), 0o644)
+// writeSidecar durably records one line of metadata next to a
+// database's storage files, through the configured FS.
+func (s *Server) writeSidecar(dir, file, value string) error {
+	return vfs.WriteFileAtomic(s.fsys(), filepath.Join(dir, file), []byte(value+"\n"))
 }
 
-func readFormatMeta(dir string) string {
-	data, err := os.ReadFile(filepath.Join(dir, formatMetaFile))
-	if err != nil {
-		return repro.Tokens.String()
+// readSidecar returns the trimmed contents of a sidecar file; ok is false
+// when it cannot be read.
+func (s *Server) readSidecar(dir, file string) (value string, ok bool) {
+	data, err := s.fsys().ReadFile(filepath.Join(dir, file))
+	return strings.TrimSpace(string(data)), err == nil
+}
+
+// readFormat returns the directory's recorded upload format (tokens when
+// unknown) and whether format.meta exists.
+func (s *Server) readFormat(dir string) (string, bool) {
+	name, ok := s.readSidecar(dir, formatMetaFile)
+	if _, err := repro.ParseFormat(name); err != nil || !ok {
+		return repro.Tokens.String(), ok
 	}
-	name := strings.TrimSpace(string(data))
-	if _, err := repro.ParseFormat(name); err != nil {
-		return repro.Tokens.String()
-	}
-	return name
+	return name, ok
 }
 
 // Close flushes and fsyncs every durable database's write-ahead log and

@@ -165,7 +165,7 @@ func Create(dir string, db *seq.DB, opt Options) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
-	tmpSeg, err := writeSegmentTemp(fsys, dir, 1, db)
+	tmpSeg, err := writeSegmentTemp(fsys, dir, 1, encodeSegment(1, db))
 	if err != nil {
 		return nil, err
 	}
@@ -190,8 +190,7 @@ func Create(dir string, db *seq.DB, opt Options) (*Store, error) {
 			}
 		}
 	}
-	if _, err := installSegment(fsys, tmpSeg, dir, 1); err != nil {
-		fsys.Remove(tmpSeg)
+	if err := installSegment(fsys, tmpSeg, dir, 1); err != nil {
 		return nil, err
 	}
 	w, err := wal.Open(filepath.Join(dir, walFileName(1)), opt.walOptions())
@@ -437,7 +436,7 @@ func (st *Store) checkpointLocked() error {
 	// 2. Write the checkpoint for gen. The spine slices are exactly the
 	// current snapshot's sealed views, so encoding under mu sees one
 	// consistent generation.
-	if _, err := writeSegment(d.fsys, d.dir, gen, st.cur.Load().db); err != nil {
+	if err := writeSegment(d.fsys, d.dir, gen, encodeSegment(gen, st.cur.Load().db)); err != nil {
 		d.checkpointErr = err
 		return err
 	}

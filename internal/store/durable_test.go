@@ -378,7 +378,7 @@ func TestCorruptSegmentFallsBackToOlder(t *testing.T) {
 	old := filepath.Join(dir, segmentFileName(2))
 	db2 := seq.NewDB()
 	db2.Add("S1", []string{"a"})
-	if _, err := writeSegment(vfs.OS, dir, 2, db2); err != nil {
+	if err := writeSegment(vfs.OS, dir, 2, encodeSegment(2, db2)); err != nil {
 		t.Fatal(err)
 	}
 	newest := filepath.Join(dir, segmentFileName(3))

@@ -106,7 +106,7 @@ func TestSegmentTruncatedOnDiskFallsBackToOlder(t *testing.T) {
 		// Resurrect a gen-1 segment (as if the sweep had crashed): the
 		// empty database every store starts from, so fallback to it is
 		// observable as generation 1 with no sequences.
-		if _, err := writeSegment(vfs.OS, dir, 1, seq.NewDB()); err != nil {
+		if err := writeSegment(vfs.OS, dir, 1, encodeSegment(1, seq.NewDB())); err != nil {
 			t.Fatal(err)
 		}
 		newest = filepath.Join(dir, segmentFileName(2))

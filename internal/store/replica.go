@@ -177,27 +177,7 @@ func InstallSegmentBytes(fsys vfs.FS, dir string, data []byte) (gen uint64, err 
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("store: install segment: %w", err)
 	}
-	tmp, err := fsys.CreateTemp(dir, segmentFileName(gen)+".tmp")
-	if err != nil {
-		return 0, fmt.Errorf("store: install segment: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		fsys.Remove(name)
-		return 0, fmt.Errorf("store: install segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(name)
-		return 0, fmt.Errorf("store: install segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(name)
-		return 0, fmt.Errorf("store: install segment: %w", err)
-	}
-	if _, err := installSegment(fsys, name, dir, gen); err != nil {
-		fsys.Remove(name)
+	if err := writeSegment(fsys, dir, gen, data); err != nil {
 		return 0, err
 	}
 	return gen, nil

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
+	"repro/internal/seq"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -239,5 +241,30 @@ func TestChainWALFileResolution(t *testing.T) {
 	// Generation 5 predates the retained chain (swept by the checkpoint).
 	if _, _, _, ok, err := ChainWALFile(vfs.OS, dir, 5); err != nil || ok {
 		t.Fatalf("swept position: ok=%v err=%v, want ok=false", ok, err)
+	}
+}
+
+// TestInstallSegmentAtomic: a segment whose install fails at the rename
+// leaves neither the segment nor its temp file behind, so recovery never
+// sees it.
+func TestInstallSegmentAtomic(t *testing.T) {
+	db, err := seq.ParseString("S1: AB\n", seq.FormatChars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(vfs.OS)
+	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: segmentSuffix, At: 0, Err: syscall.EIO})
+	if _, err := InstallSegmentBytes(ffs, dir, encodeSegment(3, db)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("install with a failing rename: %v, want EIO", err)
+	}
+	if entries, _ := ffs.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed install left %d files", len(entries))
+	}
+	if gen, err := InstallSegmentBytes(ffs, dir, encodeSegment(3, db)); err != nil || gen != 3 {
+		t.Fatalf("install: gen=%d err=%v", gen, err)
+	}
+	if _, gen, ok, err := NewestSegment(vfs.OS, dir); err != nil || !ok || gen != 3 {
+		t.Fatalf("NewestSegment: gen=%d ok=%v err=%v", gen, ok, err)
 	}
 }

@@ -116,56 +116,33 @@ func decodeSegment(data []byte) (gen uint64, db *seq.DB, err error) {
 // (so the eventual rename never crosses filesystems) and fsyncs it. The
 // bytes are durable but the checkpoint is not yet visible to recovery —
 // install it with installSegment, or leave it to be swept.
-func writeSegmentTemp(fsys vfs.FS, dir string, gen uint64, db *seq.DB) (string, error) {
-	tmp, err := fsys.CreateTemp(dir, segmentFileName(gen)+".tmp")
+func writeSegmentTemp(fsys vfs.FS, dir string, gen uint64, data []byte) (string, error) {
+	tmp, err := vfs.WriteTemp(fsys, dir, segmentFileName(gen)+".tmp", data)
 	if err != nil {
-		return "", fmt.Errorf("store: create segment temp file: %w", err)
-	}
-	data := encodeSegment(gen, db)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
 		return "", fmt.Errorf("store: write segment: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return "", fmt.Errorf("store: sync segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmp.Name())
-		return "", fmt.Errorf("store: close segment: %w", err)
-	}
-	return tmp.Name(), nil
+	return tmp, nil
 }
 
 // installSegment atomically publishes a temp segment written by
-// writeSegmentTemp as segment-<gen>.seg and fsyncs the directory.
-func installSegment(fsys vfs.FS, tmpPath, dir string, gen uint64) (string, error) {
-	path := filepath.Join(dir, segmentFileName(gen))
-	if err := fsys.Rename(tmpPath, path); err != nil {
-		return "", fmt.Errorf("store: publish segment: %w", err)
+// writeSegmentTemp as segment-<gen>.seg and fsyncs the directory. On
+// failure the temp file is removed.
+func installSegment(fsys vfs.FS, tmpPath, dir string, gen uint64) error {
+	if err := vfs.Install(fsys, tmpPath, filepath.Join(dir, segmentFileName(gen))); err != nil {
+		return fmt.Errorf("store: publish segment: %w", err)
 	}
-	if err := syncDir(fsys, dir); err != nil {
-		return "", err
-	}
-	return path, nil
+	return nil
 }
 
-// writeSegment atomically writes the checkpoint for gen into dir and
-// returns its path: temp file + fsync + rename + directory fsync, so a
-// segment file either exists complete or not at all.
-func writeSegment(fsys vfs.FS, dir string, gen uint64, db *seq.DB) (string, error) {
-	tmp, err := writeSegmentTemp(fsys, dir, gen, db)
+// writeSegment atomically writes the segment image data for gen into
+// dir: temp file + fsync + rename + directory fsync, so a segment file
+// either exists complete or not at all.
+func writeSegment(fsys vfs.FS, dir string, gen uint64, data []byte) error {
+	tmp, err := writeSegmentTemp(fsys, dir, gen, data)
 	if err != nil {
-		return "", err
+		return err
 	}
-	path, err := installSegment(fsys, tmp, dir, gen)
-	if err != nil {
-		fsys.Remove(tmp)
-		return "", err
-	}
-	return path, nil
+	return installSegment(fsys, tmp, dir, gen)
 }
 
 // readSegment loads and validates the segment at path.

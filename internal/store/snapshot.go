@@ -14,7 +14,6 @@ import (
 type Snapshot struct {
 	db  *seq.DB
 	gen uint64
-	opt Options
 	sum Summary // O(1)-maintained basic statistics (see Store)
 
 	// ixMu guards lazy index construction. Appends extend a parent's
@@ -73,10 +72,7 @@ func (s *Snapshot) Index(disableFastNext bool) *seq.Index {
 		return s.slow
 	}
 	if s.fast == nil {
-		s.fast = seq.NewIndexWith(s.db, seq.IndexOptions{
-			FastNext:          true,
-			FastNextMemBudget: s.opt.FastNextMemBudget,
-		})
+		s.fast = seq.NewIndexWith(s.db, seq.IndexOptions{FastNext: true})
 	}
 	return s.fast
 }

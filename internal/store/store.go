@@ -46,11 +46,6 @@ import (
 // Options tunes the store's index construction and, for stores opened
 // with Open or Create, its durability.
 type Options struct {
-	// FastNextMemBudget caps the bytes spent on FastNext successor tables
-	// per index, carried across incremental extensions. 0 selects
-	// seq.DefaultFastNextMemBudget; negative means unlimited.
-	FastNextMemBudget int64
-
 	// SyncPolicy selects when WAL appends are fsynced (durable stores
 	// only). The zero value is wal.SyncAlways: an acknowledged append can
 	// never be lost, at the cost of one fsync per batch.
@@ -383,7 +378,6 @@ func (st *Store) publish(gen uint64, parent *Snapshot, changed []int) *Snapshot 
 	snap := &Snapshot{
 		db:  sealed,
 		gen: gen,
-		opt: st.opt,
 		sum: sum,
 	}
 	if parent != nil {

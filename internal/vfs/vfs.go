@@ -15,6 +15,7 @@ package vfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the WAL and segment store use. OSFS
@@ -108,4 +109,56 @@ func (osFS) SyncDir(dir string) error {
 		return syncErr
 	}
 	return closeErr
+}
+
+// WriteTemp writes data to a new temp file in dir (named by pattern, as
+// for CreateTemp) and fsyncs it: the bytes are durable but not yet
+// visible under any name recovery reads. Publish the file with Install.
+// On failure the temp file is removed.
+func WriteTemp(fsys FS, dir, pattern string, data []byte) (string, error) {
+	tmp, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	name := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		fsys.Remove(name)
+		return "", err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		fsys.Remove(name)
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		fsys.Remove(name)
+		return "", err
+	}
+	return name, nil
+}
+
+// Install atomically publishes a temp file written by WriteTemp as path
+// (same directory) and fsyncs the directory, so the rename survives a
+// crash. On failure the temp file is removed.
+func Install(fsys FS, tmp, path string) error {
+	err := fsys.Rename(tmp, path)
+	if err == nil {
+		err = fsys.SyncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
+// WriteFileAtomic durably replaces path with data: temp file + fsync +
+// rename + directory fsync, so after a crash path holds either the new
+// contents complete or whatever it held before.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp, err := WriteTemp(fsys, filepath.Dir(path), filepath.Base(path)+".tmp", data)
+	if err != nil {
+		return err
+	}
+	return Install(fsys, tmp, path)
 }

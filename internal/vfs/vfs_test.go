@@ -201,3 +201,38 @@ func TestFaultFSErrnoPreserved(t *testing.T) {
 		t.Fatalf("PathError.Path = %q, want destination path", pe.Path)
 	}
 }
+
+// TestWriteFileAtomic: a fault at any step before the rename leaves the
+// previous contents in place and no temp file behind; the write then
+// succeeds once the fault clears.
+func TestWriteFileAtomic(t *testing.T) {
+	for _, op := range []Op{OpCreateTemp, OpWrite, OpSync, OpClose, OpRename} {
+		t.Run(op.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "x.meta")
+			if err := WriteFileAtomic(OS, path, []byte("old\n")); err != nil {
+				t.Fatal(err)
+			}
+			ffs := NewFaultFS(OS)
+			rule := ffs.AddFault(Fault{Op: op, At: 0, Err: syscall.EIO})
+			if err := WriteFileAtomic(ffs, path, []byte("new\n")); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("write with a failing %s: %v, want EIO", op, err)
+			}
+			if !ffs.Fired(rule) {
+				t.Fatalf("%s fault never fired", op)
+			}
+			if got, _ := os.ReadFile(path); string(got) != "old\n" {
+				t.Errorf("after a failed %s: %q, want the old contents", op, got)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Errorf("after a failed %s: %d entries left in the dir, want 1", op, len(entries))
+			}
+			if err := WriteFileAtomic(ffs, path, []byte("new\n")); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != "new\n" {
+				t.Errorf("after the retry: %q", got)
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/repl"
@@ -27,9 +26,6 @@ type ReplicaOptions struct {
 	// reconnect schedule; zero selects the defaults (200ms, 15s).
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// Transport overrides the HTTP transport used for feed requests; nil
-	// selects http.DefaultTransport.
-	Transport http.RoundTripper
 	// Logf, when set, receives replication progress lines (bootstraps,
 	// resumes, re-bootstraps, promotion).
 	Logf func(format string, args ...any)
@@ -73,9 +69,6 @@ func OpenReplica(upstream, name, dir string, opt ReplicaOptions) (*Replica, erro
 		// the public handle over atomically. In-flight snapshots keep the
 		// old store's immutable state.
 		OnSwap: func(st *store.Store) { r.db.swapStore(st) },
-	}
-	if opt.Transport != nil {
-		cfg.Client = &http.Client{Transport: opt.Transport}
 	}
 	f, err := repl.New(cfg)
 	if err != nil {

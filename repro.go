@@ -17,35 +17,21 @@ import (
 // Format identifies an on-disk database encoding accepted by Load.
 type Format int
 
-// Supported formats. See internal/seq for the grammar of each.
+// Supported formats. Each is its internal/seq format, which holds the
+// grammar and the name table.
 const (
 	// Tokens: one sequence per line, whitespace-separated event names,
 	// optional "label:" prefix, '#' comments.
-	Tokens Format = iota
+	Tokens = Format(seq.FormatTokens)
 	// Chars: one sequence per line, each byte a single-character event.
-	Chars
+	Chars = Format(seq.FormatChars)
 	// SPMF: the SPMF sequence format (integer items, -1/-2 separators)
 	// restricted to single-item itemsets.
-	SPMF
+	SPMF = Format(seq.FormatSPMF)
 )
 
-// formats holds each Format's CLI/wire name and parser format.
-var formats = [...]struct {
-	name string
-	seq  seq.Format
-}{
-	Tokens: {"tokens", seq.FormatTokens},
-	Chars:  {"chars", seq.FormatChars},
-	SPMF:   {"spmf", seq.FormatSPMF},
-}
-
 // String returns the CLI/wire name of the format.
-func (f Format) String() string {
-	if f >= 0 && int(f) < len(formats) {
-		return formats[f].name
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
+func (f Format) String() string { return seq.Format(f).String() }
 
 // ParseFormat maps a wire/flag format name ("tokens", "chars", "spmf") to
 // a Format; the empty string selects Tokens. Unknown names return an
@@ -54,19 +40,18 @@ func ParseFormat(name string) (Format, error) {
 	if name == "" {
 		return Tokens, nil
 	}
-	for f := range formats {
-		if formats[f].name == name {
-			return Format(f), nil
-		}
+	f, err := seq.ParseFormat(name)
+	if err != nil {
+		return 0, fmt.Errorf("repro: %w %q (want tokens, chars, spmf)", ErrUnknownFormat, name)
 	}
-	return 0, fmt.Errorf("repro: %w %q (want tokens, chars, spmf)", ErrUnknownFormat, name)
+	return Format(f), nil
 }
 
 func (f Format) internal() (seq.Format, error) {
-	if f < 0 || int(f) >= len(formats) {
+	if f < Tokens || f > SPMF {
 		return 0, fmt.Errorf("repro: %w %d", ErrUnknownFormat, int(f))
 	}
-	return formats[f].seq, nil
+	return seq.Format(f), nil
 }
 
 // Database is a growing sequence database and the handle on which mining
