@@ -156,9 +156,9 @@
 // and a lone appender never waits out the window, so single-client
 // latency stays within one commit window of a lone fsync. The window is
 // fixed: a batch closes at 64 records or 1ms, whichever comes first.
-// Database.Persistence reports CommitBatches and CommitRecords — the
-// HTTP persistence block and /readyz additionally derive fsyncsSaved —
-// so the achieved coalescing is observable in production.
+// Database.Persistence reports CommitBatches, CommitRecords and their
+// difference FsyncsSaved, so the achieved coalescing is observable in
+// production (the HTTP persistence block is that value).
 //
 // # Degraded mode and self-healing
 //
@@ -260,7 +260,11 @@
 // invalidates exactly its own cache entries. Both commands share one
 // flag list, and its durability flags (-fsync, -fsync-interval,
 // -checkpoint-bytes) fill the same OpenOptions value a library caller
-// passes to Open.
+// passes to Open. The service's responses are this package's own types:
+// Pattern and Instance are the mine and support payloads, and Stats,
+// Persistence and ReplicaStatus the stats, persistence and replication
+// objects of its database and readiness reports, so their field tags
+// are the HTTP schema.
 //
 // The subpackages under internal implement the substrate (sequence
 // database, inverted index, generators, baselines, brute-force oracles,

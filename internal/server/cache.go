@@ -73,8 +73,9 @@ func (c *resultCache) put(key string, res *mineOutcome) {
 }
 
 // purgePrefix drops every entry whose key starts with prefix. Used when a
-// database is deleted: its per-name generation counter restarts at 1 on
-// re-upload, so old keys could otherwise collide with the new contents.
+// database is deleted, to free its entries' memory at once: correctness
+// does not depend on it, since keys carry the server-wide upload
+// generation, which a re-upload never reuses.
 func (c *resultCache) purgePrefix(prefix string) {
 	if c == nil {
 		return

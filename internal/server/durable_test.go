@@ -80,7 +80,7 @@ func TestDurableUploadSurvivesRestart(t *testing.T) {
 		t.Fatalf("mine after restart: %d %s", mined2.Code, mined2.Body)
 	}
 	var a, b struct {
-		Patterns []patternJSON `json:"patterns"`
+		Patterns []repro.Pattern `json:"patterns"`
 	}
 	if err := json.Unmarshal(mined1.Body.Bytes(), &a); err != nil {
 		t.Fatal(err)

@@ -77,14 +77,14 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			WALError:        p.WALError,
 			CheckpointError: p.CheckpointError,
 			CommitBatches:   p.CommitBatches,
-			FsyncsSaved:     p.CommitRecords - p.CommitBatches,
+			FsyncsSaved:     p.FsyncsSaved,
 		}
 		if p.Degraded {
 			resp.Status = "degraded"
 		}
 		if e.replica != nil {
 			st := e.replica.Status()
-			d.Replication = toReplicationJSON(st)
+			d.Replication = &st
 			if s.replicaLagging(st) {
 				// The read gate: a replica too far behind serves reads that
 				// are too stale to trust, so this node drains until it
@@ -380,13 +380,7 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 		Support:            snap.Support(q.Pattern),
 	}
 	if q.Instances {
-		for _, ins := range snap.SupportSet(q.Pattern) {
-			resp.Instances = append(resp.Instances, instanceJSON{
-				Sequence:      ins.Sequence,
-				SequenceIndex: ins.SequenceIndex,
-				Positions:     ins.Positions,
-			})
-		}
+		resp.Instances = snap.SupportSet(q.Pattern)
 	}
 	if q.PerSequence {
 		resp.PerSequence = snap.PerSequenceSupport(q.Pattern)
@@ -458,7 +452,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var nw *ndjsonWriter
 	if stream {
 		nw = newNDJSONWriter(w, true)
-		opt.OnPattern = nw.pattern
+		opt.OnPattern = func(p repro.Pattern) bool { return nw.pattern(&p) }
 	}
 	res, err := snap.Mine(opt)
 	if err == nil {
@@ -519,14 +513,7 @@ func (s *Server) maybeCache(key string, out *mineOutcome) {
 }
 
 func buildResponse(e *dbEntry, out *mineOutcome, cached bool) mineResponse {
-	resp := mineResponse{
-		mineSummary: buildSummary(e, out, cached),
-		Patterns:    make([]patternJSON, len(out.result.Patterns)),
-	}
-	for i, p := range out.result.Patterns {
-		resp.Patterns[i] = toPatternJSON(p)
-	}
-	return resp
+	return mineResponse{mineSummary: buildSummary(e, out, cached), Patterns: out.result.Patterns}
 }
 
 func buildSummary(e *dbEntry, out *mineOutcome, cached bool) mineSummary {
@@ -550,8 +537,8 @@ func buildSummary(e *dbEntry, out *mineOutcome, cached bool) mineSummary {
 // ndjsonLine is one line of a streaming response: exactly one of the two
 // fields is set, and the summary line is always last.
 type ndjsonLine struct {
-	Pattern *patternJSON `json:"pattern,omitempty"`
-	Summary *mineSummary `json:"summary,omitempty"`
+	Pattern *repro.Pattern `json:"pattern,omitempty"`
+	Summary *mineSummary   `json:"summary,omitempty"`
 }
 
 // streamWriteBudget bounds mine response writes, NDJSON and buffered
@@ -606,11 +593,11 @@ func (nw *ndjsonWriter) write(line ndjsonLine) bool {
 	return true
 }
 
-// pattern writes one pattern line; it is the OnPattern callback of a live
-// stream, so a false return aborts the run.
-func (nw *ndjsonWriter) pattern(p repro.Pattern) bool {
-	pj := toPatternJSON(p)
-	if !nw.write(ndjsonLine{Pattern: &pj}) {
+// pattern writes one pattern line; false means the client is gone. A
+// replay passes a pointer into the cached result; a live stream calls it
+// from its OnPattern callback, so a false return aborts the run.
+func (nw *ndjsonWriter) pattern(p *repro.Pattern) bool {
+	if !nw.write(ndjsonLine{Pattern: p}) {
 		return false
 	}
 	nw.lines++
@@ -623,8 +610,8 @@ func (nw *ndjsonWriter) summary(sum mineSummary) { nw.write(ndjsonLine{Summary: 
 // streamOutcome replays a cached result in NDJSON form.
 func streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutcome) {
 	nw := newNDJSONWriter(w, false)
-	for _, p := range out.result.Patterns {
-		if !nw.pattern(p) {
+	for i := range out.result.Patterns {
+		if !nw.pattern(&out.result.Patterns[i]) {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -77,5 +78,55 @@ func TestSidecarMetaWritesAreAtomic(t *testing.T) {
 	}
 	if info := upload(t, srv2.Handler(), "ex", "chars", example11); info.Format != "chars" {
 		t.Errorf("format after restart: %q", info.Format)
+	}
+}
+
+// TestDurableDeleteFormatMetaFault: DELETE removes format.meta first,
+// through the configured FS, because that removal is what makes the
+// delete durable (the boot walk ignores a directory without it). If it
+// fails, the delete is not durable and must answer 500.
+func TestDurableDeleteFormatMetaFault(t *testing.T) {
+	ffs := vfs.NewFaultFS(vfs.OS)
+	srv := mustNew(t, Config{DataDir: t.TempDir(), Open: repro.OpenOptions{FS: ffs}})
+	defer srv.Close()
+	h := srv.Handler()
+	upload(t, h, "ex", "chars", example11)
+	rule := ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: formatMetaFile, At: -1, Err: syscall.EIO})
+	if rr := doJSON(t, h, "DELETE", "/v1/databases/ex", ""); rr.Code != http.StatusInternalServerError {
+		t.Fatalf("delete with a failing format.meta removal: %d %s, want 500", rr.Code, rr.Body)
+	}
+	if !ffs.Fired(rule) {
+		t.Fatal("the remove fault on format.meta never fired")
+	}
+}
+
+// TestDurableDeleteOrder: a durable DELETE goes through the configured
+// FS in crash-safe order: format.meta, an fsync of the database
+// directory, the remaining files and the directory, then an fsync of
+// the data dir.
+func TestDurableDeleteOrder(t *testing.T) {
+	ffs := vfs.NewFaultFS(vfs.OS)
+	dir := t.TempDir()
+	srv := mustNew(t, Config{DataDir: dir, Open: repro.OpenOptions{FS: ffs}})
+	defer srv.Close()
+	h := srv.Handler()
+	upload(t, h, "ex", "chars", example11)
+	before := len(ffs.Trace())
+	if rr := doJSON(t, h, "DELETE", "/v1/databases/ex", ""); rr.Code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", rr.Code, rr.Body)
+	}
+	var ops []string
+	for _, op := range ffs.Trace()[before:] {
+		if strings.HasPrefix(op, "remove ") || strings.HasPrefix(op, "syncdir ") {
+			ops = append(ops, op)
+		}
+	}
+	dbDir := filepath.Join(dir, "ex")
+	if len(ops) < 5 || ops[0] != "remove "+filepath.Join(dbDir, formatMetaFile) || ops[1] != "syncdir "+dbDir ||
+		ops[len(ops)-2] != "remove "+dbDir || ops[len(ops)-1] != "syncdir "+dir {
+		t.Fatalf("delete FS operations out of order:\n%s", strings.Join(ops, "\n"))
+	}
+	if _, err := os.Stat(dbDir); !os.IsNotExist(err) {
+		t.Fatalf("delete left the directory behind: %v", err)
 	}
 }

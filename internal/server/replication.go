@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"os"
 	"time"
 
 	"repro"
@@ -253,9 +252,9 @@ func (s *Server) dropReplica(e *dbEntry) {
 	}
 	delete(s.dbs, e.name)
 	s.mu.Unlock()
-	s.cache.purgePrefix(e.name + "@")
+	s.cache.purgePrefix(e.name + "@") // frees memory; keys are never reused
 	_ = e.replica.Close()
-	if err := os.RemoveAll(s.dbDir(e.name)); err != nil {
+	if err := s.removeDBDir(e.name); err != nil {
 		s.logf("server: follower: remove %q: %v", e.name, err)
 	}
 	s.logf("server: follower: dropped %q (deleted on primary)", e.name)
@@ -339,27 +338,6 @@ func (s *Server) fetchUpstreamDatabases() ([]upstreamDB, error) {
 	return body.Databases, nil
 }
 
-// toReplicationJSON shapes a replica's status for the wire.
-func toReplicationJSON(st repro.ReplicaStatus) *replicationJSON {
-	out := &replicationJSON{
-		Role:              st.Role,
-		Upstream:          st.Upstream,
-		Epoch:             st.Epoch,
-		Connected:         st.Connected,
-		Generation:        st.Generation,
-		PrimaryGeneration: st.PrimaryGeneration,
-		LagRecords:        st.LagRecords,
-		LagBytes:          st.LagBytes,
-		Bootstraps:        st.Bootstraps,
-		LastError:         st.LastError,
-	}
-	if !st.LastContact.IsZero() {
-		out.LastContact = st.LastContact.UTC().Format(time.RFC3339Nano)
-		out.LagSeconds = time.Since(st.LastContact).Seconds()
-	}
-	return out
-}
-
 // replicaLagging applies the configured read gate to one replica status:
 // a follower too far behind (bytes) or too long out of contact (seconds)
 // is not ready. Zero disables each bound; a follower that has never had
@@ -371,7 +349,7 @@ func (s *Server) replicaLagging(st repro.ReplicaStatus) bool {
 	if s.maxLagBytes > 0 && st.LagBytes > uint64(s.maxLagBytes) {
 		return true
 	}
-	if s.maxLag > 0 && time.Since(st.LastContact) > s.maxLag {
+	if s.maxLag > 0 && (st.LastContact.IsZero() || st.LagSeconds > s.maxLag.Seconds()) {
 		return true
 	}
 	return false

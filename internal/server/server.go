@@ -30,9 +30,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -464,18 +465,54 @@ func (s *Server) delete(name string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	// A later re-upload under this name restarts at generation 1, so
-	// cached results for the old contents must not survive.
+	// Keys carry the never-reused upload generation, so no later upload
+	// can hit the old entries; dropping them only frees their memory.
 	s.cache.purgePrefix(name + "@")
 	_ = closeEntry(e)
 	if s.dataDir != "" {
 		// Deleting a durable database removes its files: DELETE means the
 		// data is gone, not "gone until the next restart resurrects it".
-		if err := os.RemoveAll(s.dbDir(name)); err != nil {
+		if err := s.removeDBDir(name); err != nil {
 			return true, err
 		}
 	}
 	return true, nil
+}
+
+// removeDBDir durably deletes a database directory through the
+// configured FS. format.meta goes first and the directory is fsynced:
+// from then on the boot walk never opens the directory as a primary
+// (bootAction), so the delete survives a crash at any later step; a
+// follower may resume a half-removed replica, which its manager drops
+// again. The remaining files (a database directory holds no
+// subdirectories) and the directory follow, and the data dir is fsynced
+// so the name is gone too.
+func (s *Server) removeDBDir(name string) error {
+	fsys, dir := s.fsys(), s.dbDir(name)
+	entries, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	if err := fsys.Remove(filepath.Join(dir, formatMetaFile)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return err
+	}
+	for _, de := range entries {
+		if de.Name() == formatMetaFile {
+			continue
+		}
+		if err := fsys.Remove(filepath.Join(dir, de.Name())); err != nil {
+			return err
+		}
+	}
+	if err := fsys.Remove(dir); err != nil {
+		return err
+	}
+	return fsys.SyncDir(s.dataDir)
 }
 
 func (s *Server) list() []*dbEntry {

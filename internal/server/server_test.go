@@ -149,7 +149,7 @@ func TestUploadListStatsDelete(t *testing.T) {
 
 // expectedPatterns computes the reference response payload through the
 // library directly, bypassing the server entirely.
-func expectedPatterns(t *testing.T, dbText string, format repro.Format, opt repro.Options, closed bool) []patternJSON {
+func expectedPatterns(t *testing.T, dbText string, format repro.Format, opt repro.Options, closed bool) []repro.Pattern {
 	t.Helper()
 	db, err := repro.Load(strings.NewReader(dbText), format)
 	if err != nil {
@@ -164,11 +164,7 @@ func expectedPatterns(t *testing.T, dbText string, format repro.Format, opt repr
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]patternJSON, len(res.Patterns))
-	for i, p := range res.Patterns {
-		out[i] = toPatternJSON(p)
-	}
-	return out
+	return res.Patterns
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -217,11 +213,7 @@ func TestMineParityWithLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantK := make([]patternJSON, len(topk.Patterns))
-	for i, p := range topk.Patterns {
-		wantK[i] = toPatternJSON(p)
-	}
-	if got, exp := mustJSON(t, respK.Patterns), mustJSON(t, wantK); !bytes.Equal(got, exp) {
+	if got, exp := mustJSON(t, respK.Patterns), mustJSON(t, topk.Patterns); !bytes.Equal(got, exp) {
 		t.Errorf("server top-k differs from direct MineTopK:\n got %s\nwant %s", got, exp)
 	}
 }
@@ -296,7 +288,7 @@ func TestMineTopKWorkers(t *testing.T) {
 	}
 }
 
-func decodeNDJSON(t *testing.T, body string) (patterns []patternJSON, summary *mineSummary) {
+func decodeNDJSON(t *testing.T, body string) (patterns []repro.Pattern, summary *mineSummary) {
 	t.Helper()
 	sc := bufio.NewScanner(strings.NewReader(body))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

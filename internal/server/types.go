@@ -104,32 +104,6 @@ type mineOutcome struct {
 	result     *repro.Result
 }
 
-// Wire DTOs.
-
-type patternJSON struct {
-	Events    []string       `json:"events"`
-	Support   int            `json:"support"`
-	Instances []instanceJSON `json:"instances,omitempty"`
-}
-
-type instanceJSON struct {
-	Sequence      string `json:"sequence"`
-	SequenceIndex int    `json:"sequenceIndex"`
-	Positions     []int  `json:"positions"`
-}
-
-func toPatternJSON(p repro.Pattern) patternJSON {
-	out := patternJSON{Events: p.Events, Support: p.Support}
-	for _, ins := range p.Instances {
-		out.Instances = append(out.Instances, instanceJSON{
-			Sequence:      ins.Sequence,
-			SequenceIndex: ins.SequenceIndex,
-			Positions:     ins.Positions,
-		})
-	}
-	return out
-}
-
 // mineSummary trails every mine response: the last NDJSON line, or the
 // envelope fields of the buffered JSON response. Generation is the
 // server-wide upload counter; SnapshotGeneration identifies the exact
@@ -160,84 +134,29 @@ type mineSummary struct {
 	Cached           bool    `json:"cached"`
 }
 
+// mineResponse is the buffered mine response: the summary fields, then
+// the cached result's own patterns, encoded as they are.
 type mineResponse struct {
 	mineSummary
-	Patterns []patternJSON `json:"patterns"`
+	Patterns []repro.Pattern `json:"patterns"`
 }
 
+// dbInfo is the report of one database. Stats, Persistence and
+// Replication are the library's own values, encoded as they are.
 type dbInfo struct {
-	Name               string    `json:"name"`
-	Format             string    `json:"format"`
-	Generation         uint64    `json:"generation"`
-	SnapshotGeneration uint64    `json:"snapshotGeneration"`
-	Created            time.Time `json:"created"`
-	Stats              statsJSON `json:"stats"`
+	Name               string      `json:"name"`
+	Format             string      `json:"format"`
+	Generation         uint64      `json:"generation"`
+	SnapshotGeneration uint64      `json:"snapshotGeneration"`
+	Created            time.Time   `json:"created"`
+	Stats              repro.Stats `json:"stats"`
 	// Persistence is present only on durable hosts (-data-dir): the
 	// database's sync policy and recovery state.
-	Persistence *persistenceJSON `json:"persistence,omitempty"`
+	Persistence *repro.Persistence `json:"persistence,omitempty"`
 	// Replication is present for replicated databases: on a follower, the
 	// tail position and lag against the upstream primary; on a primary
 	// serving a replication feed, its role and lineage epoch.
-	Replication *replicationJSON `json:"replication,omitempty"`
-}
-
-// replicationJSON reports one database's replication state.
-type replicationJSON struct {
-	// Role is "follower" while tailing, "primary" after promotion (or for
-	// a primary serving a feed).
-	Role string `json:"role"`
-	// Upstream is the primary this replica tails.
-	Upstream string `json:"upstream,omitempty"`
-	// Epoch is the lineage the local state belongs to.
-	Epoch string `json:"epoch,omitempty"`
-	// Connected reports whether the WAL tail stream is currently up.
-	Connected bool `json:"connected"`
-	// Generation is the last generation applied locally;
-	// PrimaryGeneration the primary's as of the last frame received.
-	// LagRecords and LagBytes measure the distance between them.
-	Generation        uint64 `json:"generation,omitempty"`
-	PrimaryGeneration uint64 `json:"primaryGeneration,omitempty"`
-	LagRecords        uint64 `json:"lagRecords,omitempty"`
-	LagBytes          uint64 `json:"lagBytes,omitempty"`
-	// LastContact is when the last frame arrived (RFC 3339); LagSeconds
-	// is the age of that contact — it bounds how stale the lag numbers
-	// themselves are.
-	LastContact string  `json:"lastContact,omitempty"`
-	LagSeconds  float64 `json:"lagSeconds,omitempty"`
-	// Bootstraps counts full segment bootstraps (1 for a fresh replica;
-	// more mean divergence was detected and healed).
-	Bootstraps int `json:"bootstraps,omitempty"`
-	// LastError is the most recent tail failure ("" while healthy).
-	LastError string `json:"lastError,omitempty"`
-}
-
-// persistenceJSON reports a durable database's storage state: which
-// generation is checkpointed, how much WAL tail a recovery would replay,
-// and under which fsync policy appends are acknowledged.
-type persistenceJSON struct {
-	// Role is "primary" or "follower" (a replica tailing an upstream).
-	Role              string `json:"role,omitempty"`
-	SyncPolicy        string `json:"syncPolicy"`
-	SegmentGeneration uint64 `json:"segmentGeneration"`
-	WALBytes          int64  `json:"walBytes"`
-	WALRecords        int    `json:"walRecords"`
-	CheckpointError   string `json:"checkpointError,omitempty"`
-	// WALError is the write-ahead log's sticky error, errno preserved in
-	// the text; set, appends cannot become durable until the log heals.
-	WALError string `json:"walError,omitempty"`
-	// Degraded reports read-only degraded mode: appends answer 503 while
-	// mining keeps serving the last snapshot and a background prober
-	// retries recovery. DegradedError is the root cause.
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradedError string `json:"degradedError,omitempty"`
-	// Commit counters: WAL batches written, records they carried, and
-	// fsyncs saved versus one-fsync-per-append. Under fsync=always each
-	// batch is one fsync, so records/batches is the achieved group-commit
-	// coalescing factor (the window is fixed at 64 records / 1ms) and
-	// dashboards use fsyncsSaved to see it working.
-	CommitBatches int64 `json:"commitBatches,omitempty"`
-	CommitRecords int64 `json:"commitRecords,omitempty"`
-	FsyncsSaved   int64 `json:"fsyncsSaved,omitempty"`
+	Replication *repro.ReplicaStatus `json:"replication,omitempty"`
 }
 
 // appendRecord is one line of the NDJSON append stream.
@@ -266,26 +185,6 @@ type appendErrorResponse struct {
 	PartiallyApplied bool   `json:"partiallyApplied"`
 }
 
-type statsJSON struct {
-	NumSequences   int     `json:"numSequences"`
-	DistinctEvents int     `json:"distinctEvents"`
-	TotalLength    int     `json:"totalLength"`
-	MinLength      int     `json:"minLength"`
-	MaxLength      int     `json:"maxLength"`
-	AvgLength      float64 `json:"avgLength"`
-}
-
-func toStatsJSON(st repro.Stats) statsJSON {
-	return statsJSON{
-		NumSequences:   st.NumSequences,
-		DistinctEvents: st.DistinctEvents,
-		TotalLength:    st.TotalLength,
-		MinLength:      st.MinLength,
-		MaxLength:      st.MaxLength,
-		AvgLength:      st.AvgLength,
-	}
-}
-
 // toDBInfo reads the entry's current snapshot: stats and snapshot
 // generation are whatever the latest append published. Stats come from
 // the store's incrementally-maintained summary — O(1), never a database
@@ -298,28 +197,16 @@ func toDBInfo(e *dbEntry) dbInfo {
 		Generation:         e.generation,
 		SnapshotGeneration: snap.Generation(),
 		Created:            e.created,
-		Stats:              toStatsJSON(snap.Stats()),
+		Stats:              snap.Stats(),
 	}
 	if e.replica != nil {
-		info.Replication = toReplicationJSON(e.replica.Status())
+		st := e.replica.Status()
+		info.Replication = &st
 	} else if e.epoch != "" {
-		info.Replication = &replicationJSON{Role: repro.RolePrimary, Epoch: e.epoch}
+		info.Replication = &repro.ReplicaStatus{Role: repro.RolePrimary, Epoch: e.epoch}
 	}
 	if p := e.db.Persistence(); p.Durable {
-		info.Persistence = &persistenceJSON{
-			Role:              p.Role,
-			SyncPolicy:        p.Sync.String(),
-			SegmentGeneration: p.SegmentGeneration,
-			WALBytes:          p.WALBytes,
-			WALRecords:        p.WALRecords,
-			CheckpointError:   p.CheckpointError,
-			WALError:          p.WALError,
-			Degraded:          p.Degraded,
-			DegradedError:     p.DegradedError,
-			CommitBatches:     p.CommitBatches,
-			CommitRecords:     p.CommitRecords,
-			FsyncsSaved:       p.CommitRecords - p.CommitBatches,
-		}
+		info.Persistence = &p
 	}
 	return info
 }
@@ -345,11 +232,11 @@ type readyDBJSON struct {
 	Role    string `json:"role,omitempty"`
 	Durable bool   `json:"durable"`
 	// Replication carries a follower's tail position and lag.
-	Replication     *replicationJSON `json:"replication,omitempty"`
-	Degraded        bool             `json:"degraded,omitempty"`
-	DegradedError   string           `json:"degradedError,omitempty"`
-	WALError        string           `json:"walError,omitempty"`
-	CheckpointError string           `json:"checkpointError,omitempty"`
+	Replication     *repro.ReplicaStatus `json:"replication,omitempty"`
+	Degraded        bool                 `json:"degraded,omitempty"`
+	DegradedError   string               `json:"degradedError,omitempty"`
+	WALError        string               `json:"walError,omitempty"`
+	CheckpointError string               `json:"checkpointError,omitempty"`
 	// CommitBatches and FsyncsSaved summarize group-commit coalescing
 	// (fsync=always): how many batched WAL writes happened and how many
 	// fsyncs they saved versus one-per-append.
@@ -368,12 +255,12 @@ type supportRequest struct {
 }
 
 type supportResponse struct {
-	Database           string         `json:"database"`
-	SnapshotGeneration uint64         `json:"snapshotGeneration"`
-	Pattern            []string       `json:"pattern"`
-	Support            int            `json:"support"`
-	Instances          []instanceJSON `json:"instances,omitempty"`
-	PerSequence        []int          `json:"perSequence,omitempty"`
+	Database           string           `json:"database"`
+	SnapshotGeneration uint64           `json:"snapshotGeneration"`
+	Pattern            []string         `json:"pattern"`
+	Support            int              `json:"support"`
+	Instances          []repro.Instance `json:"instances,omitempty"`
+	PerSequence        []int            `json:"perSequence,omitempty"`
 }
 
 type errorResponse struct {

@@ -15,25 +15,38 @@ import (
 // SyncPolicy selects when durable databases fsync the write-ahead log.
 type SyncPolicy int
 
+// The policies. Each is its internal/wal policy, which holds the name
+// table.
 const (
 	// SyncAlways fsyncs every append before acknowledging it: an
 	// acknowledged write can never be lost, even to a machine crash. The
 	// cost is one fsync per append batch. This is the default.
-	SyncAlways SyncPolicy = iota
+	SyncAlways = SyncPolicy(wal.SyncAlways)
 	// SyncInterval fsyncs in the background at OpenOptions.SyncInterval.
 	// A machine crash can lose up to one interval of acknowledged
 	// appends; a clean process exit (or crash that spares the OS) loses
 	// nothing.
-	SyncInterval
+	SyncInterval = SyncPolicy(wal.SyncInterval)
 	// SyncNever leaves write-back entirely to the OS. Fastest, and still
 	// safe against process crashes, but a machine crash loses whatever
 	// the kernel had not yet written.
-	SyncNever
+	SyncNever = SyncPolicy(wal.SyncNever)
 )
 
 // String returns the flag/wire name of the policy ("always", "interval",
 // "never").
 func (p SyncPolicy) String() string { return p.internal().String() }
+
+// MarshalText encodes the policy as its name, the form the HTTP service
+// reports it in.
+func (p SyncPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText reads a policy name, as ParseSyncPolicy does, so clients
+// can decode the service's reports into Persistence.
+func (p *SyncPolicy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParseSyncPolicy(string(text))
+	return err
+}
 
 // ParseSyncPolicy maps a flag value ("always", "interval", "never") to a
 // SyncPolicy. Unknown names return an error wrapping ErrInvalidOptions.
@@ -42,25 +55,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	if err != nil {
 		return 0, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
 	}
-	switch wp {
-	case wal.SyncAlways:
-		return SyncAlways, nil
-	case wal.SyncInterval:
-		return SyncInterval, nil
-	default:
-		return SyncNever, nil
-	}
+	return SyncPolicy(wp), nil
 }
 
+// internal is the wal policy p selects. A value outside the three
+// policies selects SyncAlways, the safe default (the log would otherwise
+// read it as "never fsync").
 func (p SyncPolicy) internal() wal.SyncPolicy {
-	switch p {
-	case SyncInterval:
-		return wal.SyncInterval
-	case SyncNever:
-		return wal.SyncNever
-	default:
+	if p < SyncAlways || p > SyncNever {
 		return wal.SyncAlways
 	}
+	return wal.SyncPolicy(p)
 }
 
 // OpenOptions configures a durable database. The zero value is the safe
@@ -174,62 +179,66 @@ func (d *Database) Close() error { return d.store().Close() }
 // databases.
 func (d *Database) Compact() error { return d.store().Checkpoint() }
 
-// Persistence describes how (and whether) a database is stored.
+// Persistence describes how (and whether) a database is stored. It is
+// also the "persistence" object of the HTTP service's database reports;
+// the fields tagged "-" are not on the wire.
 type Persistence struct {
 	// Durable is false for in-memory databases; every other field except
 	// Role is then zero.
-	Durable bool
+	Durable bool `json:"-"`
 	// Role is "primary" for ordinary databases and "follower" for a
 	// replica tailing an upstream primary (see OpenReplica). Followers
 	// reject Append with ErrNotPrimary until promoted.
-	Role string
+	Role string `json:"role,omitempty"`
 	// Dir is the storage directory.
-	Dir string
+	Dir string `json:"-"`
 	// Sync is the configured fsync policy.
-	Sync SyncPolicy
+	Sync SyncPolicy `json:"syncPolicy"`
 	// Generation is the current snapshot generation.
-	Generation uint64
+	Generation uint64 `json:"-"`
 	// SegmentGeneration is the newest checkpointed generation; recovery
 	// replays the WAL from there. 0 = no checkpoint yet.
-	SegmentGeneration uint64
+	SegmentGeneration uint64 `json:"segmentGeneration"`
 	// WALBytes and WALRecords size the write-ahead tail that recovery
 	// would replay.
-	WALBytes   int64
-	WALRecords int
+	WALBytes   int64 `json:"walBytes"`
+	WALRecords int   `json:"walRecords"`
 	// CheckpointError reports the last automatic-checkpoint failure (""
 	// when healthy). Appends remain durable through the WAL while this is
 	// set; the WAL just is not being compacted.
-	CheckpointError string
+	CheckpointError string `json:"checkpointError,omitempty"`
 	// WALError reports the write-ahead log's sticky error ("" while
 	// healthy), with the root errno preserved in the text. Set, it means
 	// appends cannot become durable until the log heals.
-	WALError string
+	WALError string `json:"walError,omitempty"`
 	// Degraded reports read-only degraded mode: appends are rejected
 	// with ErrDegraded while mining continues on the last snapshot, and
 	// a background prober retries recovery until the disk heals.
 	// DegradedError is the root cause.
-	Degraded      bool
-	DegradedError string
+	Degraded      bool   `json:"degraded,omitempty"`
+	DegradedError string `json:"degradedError,omitempty"`
 	// CommitBatches and CommitRecords count WAL commit activity over the
 	// database's lifetime: batches written, and the records they carried.
 	// Under SyncAlways each batch is one fsync, so
 	// CommitRecords/CommitBatches is the achieved coalescing factor and
-	// CommitRecords - CommitBatches the number of fsyncs saved versus
-	// one-fsync-per-append; under the weaker policies each batch is one
-	// record. Fsyncs counts every fsync issued on the database's
-	// write-ahead logs.
-	CommitBatches int64
-	CommitRecords int64
-	Fsyncs        int64
+	// FsyncsSaved, CommitRecords - CommitBatches, the number of fsyncs
+	// saved versus one-fsync-per-append; under the weaker policies each
+	// batch is one record. Fsyncs counts every fsync issued on the
+	// database's write-ahead logs.
+	CommitBatches int64 `json:"commitBatches,omitempty"`
+	CommitRecords int64 `json:"commitRecords,omitempty"`
+	FsyncsSaved   int64 `json:"fsyncsSaved,omitempty"`
+	Fsyncs        int64 `json:"-"`
 }
 
 // Persistence returns the database's durability state.
 func (d *Database) Persistence() Persistence {
 	info := d.store().Durability()
-	p := Persistence{
+	return Persistence{
 		Durable:           info.Durable,
 		Role:              info.Role,
 		Dir:               info.Dir,
+		Sync:              SyncPolicy(info.SyncPolicy),
 		Generation:        info.Generation,
 		SegmentGeneration: info.SegmentGeneration,
 		WALBytes:          info.WALBytes,
@@ -240,17 +249,7 @@ func (d *Database) Persistence() Persistence {
 		DegradedError:     info.DegradedError,
 		CommitBatches:     info.CommitBatches,
 		CommitRecords:     info.CommitRecords,
+		FsyncsSaved:       info.CommitRecords - info.CommitBatches,
 		Fsyncs:            info.Fsyncs,
 	}
-	if info.Durable {
-		switch info.SyncPolicy {
-		case wal.SyncInterval:
-			p.Sync = SyncInterval
-		case wal.SyncNever:
-			p.Sync = SyncNever
-		default:
-			p.Sync = SyncAlways
-		}
-	}
-	return p
 }

@@ -92,39 +92,42 @@ func OpenReplica(upstream, name, dir string, opt ReplicaOptions) (*Replica, erro
 func (r *Replica) Database() *Database { return r.db }
 
 // ReplicaStatus is a point-in-time snapshot of a replica's replication
-// state.
+// state. It is also the "replication" object of the HTTP service's
+// database and readiness reports; Database is not on the wire.
 type ReplicaStatus struct {
 	// Role is "follower", or "primary" after promotion.
-	Role string
+	Role string `json:"role"`
 	// Upstream and Database identify what is being replicated.
-	Upstream string
-	Database string
+	Upstream string `json:"upstream,omitempty"`
+	Database string `json:"-"`
 	// Epoch is the primary lineage the local state was replicated from; it
 	// changes when the primary's database is replaced wholesale.
-	Epoch string
+	Epoch string `json:"epoch,omitempty"`
 	// Connected reports whether the WAL tail stream is currently up.
-	Connected bool
+	Connected bool `json:"connected"`
 	// Generation is the last generation applied locally.
-	Generation uint64
+	Generation uint64 `json:"generation,omitempty"`
 	// PrimaryGeneration is the primary's generation as of the last frame
-	// received; LagRecords and LagBytes measure the distance to it, and
-	// LastContact is when that frame arrived (time since it bounds how
-	// stale the lag numbers themselves are).
-	PrimaryGeneration uint64
-	LagRecords        uint64
-	LagBytes          uint64
-	LastContact       time.Time
+	// received; LagRecords and LagBytes measure the distance to it.
+	PrimaryGeneration uint64 `json:"primaryGeneration,omitempty"`
+	LagRecords        uint64 `json:"lagRecords,omitempty"`
+	LagBytes          uint64 `json:"lagBytes,omitempty"`
+	// LastContact is when that frame arrived, in UTC (zero before the
+	// first); LagSeconds is its age when the status was taken, which
+	// bounds how stale the lag numbers themselves are.
+	LastContact time.Time `json:"lastContact,omitzero"`
+	LagSeconds  float64   `json:"lagSeconds,omitempty"`
 	// Bootstraps counts full segment bootstraps (1 for a fresh replica;
 	// more mean divergence was detected and healed).
-	Bootstraps int
+	Bootstraps int `json:"bootstraps,omitempty"`
 	// LastError is the most recent tail failure ("" while healthy).
-	LastError string
+	LastError string `json:"lastError,omitempty"`
 }
 
 // Status reports the replica's replication state.
 func (r *Replica) Status() ReplicaStatus {
 	s := r.f.Status()
-	return ReplicaStatus{
+	st := ReplicaStatus{
 		Role:              s.Role,
 		Upstream:          s.Upstream,
 		Database:          s.Database,
@@ -134,10 +137,14 @@ func (r *Replica) Status() ReplicaStatus {
 		PrimaryGeneration: s.PrimaryGeneration,
 		LagRecords:        s.LagRecords,
 		LagBytes:          s.LagBytes,
-		LastContact:       s.LastContact,
 		Bootstraps:        s.Bootstraps,
 		LastError:         s.LastError,
 	}
+	if !s.LastContact.IsZero() {
+		st.LastContact = s.LastContact.UTC()
+		st.LagSeconds = time.Since(s.LastContact).Seconds()
+	}
+	return st
 }
 
 // Promote ends replication and makes the replica's database a primary:

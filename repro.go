@@ -258,14 +258,15 @@ func (s *Snapshot) Stats() Stats {
 	}
 }
 
-// Stats summarizes a database.
+// Stats summarizes a database. It is also the "stats" object of the
+// HTTP service's database reports.
 type Stats struct {
-	NumSequences   int
-	DistinctEvents int
-	TotalLength    int
-	MinLength      int
-	MaxLength      int
-	AvgLength      float64
+	NumSequences   int     `json:"numSequences"`
+	DistinctEvents int     `json:"distinctEvents"`
+	TotalLength    int     `json:"totalLength"`
+	MinLength      int     `json:"minLength"`
+	MaxLength      int     `json:"maxLength"`
+	AvgLength      float64 `json:"avgLength"`
 }
 
 // Options is one mining query. The library, the gsgrow CLI and the HTTP
@@ -347,25 +348,28 @@ type Options struct {
 }
 
 // Instance is one occurrence of a pattern: the sequence it lives in and
-// the 1-based positions of its events (the landmark).
+// the 1-based positions of its events (the landmark). It is also the HTTP
+// service's wire form of an instance (mine and support responses).
 type Instance struct {
-	SequenceIndex int    // 0-based index into the database
-	Sequence      string // label of the sequence
-	Positions     []int  // 1-based landmark, strictly increasing
+	Sequence      string `json:"sequence"`      // label of the sequence
+	SequenceIndex int    `json:"sequenceIndex"` // 0-based index into the database
+	Positions     []int  `json:"positions"`     // 1-based landmark, strictly increasing
 }
 
-// Pattern is a mined pattern.
+// Pattern is a mined pattern. It is also the HTTP service's wire form of
+// a pattern: the elements of a mine response's "patterns" array and the
+// "pattern" object of each NDJSON line.
 type Pattern struct {
 	// Events is the pattern as event names.
-	Events []string
+	Events []string `json:"events"`
 	// Support is the pattern's support under the run's semantics. For the
 	// default (repetitive) semantics that is the maximum number of
 	// pairwise non-overlapping occurrences in the database.
-	Support int
+	Support int `json:"support"`
 	// Instances is the pattern's reported support set (for the default
 	// semantics, the leftmost maximum set of non-overlapping occurrences);
 	// nil unless Options.CollectInstances was set.
-	Instances []Instance
+	Instances []Instance `json:"instances,omitempty"`
 }
 
 // Result is the output of Mine or MineClosed.
