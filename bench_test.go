@@ -1,12 +1,12 @@
-package repro
+package repro_test
 
-// Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for recorded results). Each figure gets one bench per algorithm per
-// X-position, named so `go test -bench 'Fig2'` reproduces one figure.
-// Dataset sizes are scaled for laptop runs; `cmd/experiments -scale full`
-// reproduces the paper-scale sweeps. Ablation benches A1-A4 quantify the
-// design choices DESIGN.md calls out.
+// Go benchmarks over the paper's evaluation workloads (EXPERIMENTS.md
+// records the figures themselves, run by cmd/experiments from
+// scripts/paper/*.json). Each figure gets one bench per algorithm per
+// X-position, named so `go test -bench 'Fig2'` profiles one figure's
+// kernel at the bench scale of scripts/paper/bench.json. Ablation benches
+// A1-A4 quantify the design choices EXPERIMENTS.md lists under
+// "Ablations".
 
 import (
 	"fmt"
@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -247,19 +248,19 @@ func BenchmarkCaseStudy(b *testing.B) {
 		mineBench(b, ix, core.Options{MinSupport: 12, Closed: true, DiscardPatterns: true})
 	})
 	b.Run("Pipeline", func(b *testing.B) {
-		res, err := core.Mine(ix, core.Options{MinSupport: 12, Closed: true})
+		rep, err := harness.CaseStudy(harness.Dataset{JBoss: &datagen.JBossParams{NumTraces: 12, NoiseMean: 2, Seed: 9}},
+			repro.Options{MinSupport: 12, Closed: true}, 0.40)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			kept := postprocess.CaseStudyPipeline(res.Patterns, 0.40)
-			if len(kept[0].Events) < 66 {
+			kept, err := postprocess.CaseStudy(db, rep.Mined.Patterns, 0.40)
+			if err != nil || len(kept[0].Events) < 66 {
 				b.Fatalf("longest pattern %d < 66", len(kept[0].Events))
 			}
 		}
 	})
-	_ = db
 }
 
 // --- Experiment 1 sidebar: sequential-pattern baselines on the same data
@@ -469,7 +470,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 func BenchmarkPublicAPI(b *testing.B) {
-	pub := NewDatabase()
+	pub := repro.NewDatabase()
 	pub.AddString("S1", "ABCACBDDB")
 	pub.AddString("S2", "ACDBACADD")
 	b.Run("Support", func(b *testing.B) {
@@ -483,7 +484,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	b.Run("MineClosed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pub.MineClosed(Options{MinSupport: 3}); err != nil {
+			if _, err := pub.MineClosed(repro.Options{MinSupport: 3}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -498,15 +499,15 @@ func BenchmarkPublicAPI(b *testing.B) {
 // checkpointing is left at the default, so the numbers include the
 // amortized compaction cost a real ingest pays.
 func BenchmarkDurableAppend(b *testing.B) {
-	batch := make([]Record, 8)
+	batch := make([]repro.Record, 8)
 	for i := range batch {
-		batch[i] = Record{Events: []string{
+		batch[i] = repro.Record{Events: []string{
 			fmt.Sprintf("ev%d", i), "login", "view", fmt.Sprintf("ev%d", (i*7)%16), "logout",
 		}}
 	}
-	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+	for _, policy := range []repro.SyncPolicy{repro.SyncAlways, repro.SyncInterval} {
 		b.Run("fsync="+policy.String(), func(b *testing.B) {
-			db, err := Open(b.TempDir(), OpenOptions{Sync: policy})
+			db, err := repro.Open(b.TempDir(), repro.OpenOptions{Sync: policy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -535,9 +536,9 @@ func BenchmarkDurableAppend(b *testing.B) {
 // (the acceptance floor is < 0.25 at clients=16). fsync=interval bounds
 // what any fsync=always scheme can reach.
 func BenchmarkDurableAppendConcurrent(b *testing.B) {
-	rec := []Record{{Events: []string{"login", "view", "logout"}}}
-	run := func(b *testing.B, clients int, opt OpenOptions) {
-		db, err := Open(b.TempDir(), opt)
+	rec := []repro.Record{{Events: []string{"login", "view", "logout"}}}
+	run := func(b *testing.B, clients int, opt repro.OpenOptions) {
+		db, err := repro.Open(b.TempDir(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -571,11 +572,11 @@ func BenchmarkDurableAppendConcurrent(b *testing.B) {
 	}
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("fsync=always/clients=%d", clients), func(b *testing.B) {
-			run(b, clients, OpenOptions{Sync: SyncAlways})
+			run(b, clients, repro.OpenOptions{Sync: repro.SyncAlways})
 		})
 	}
 	b.Run("fsync=interval/clients=16", func(b *testing.B) {
-		run(b, 16, OpenOptions{Sync: SyncInterval})
+		run(b, 16, repro.OpenOptions{Sync: repro.SyncInterval})
 	})
 }
 
@@ -583,13 +584,13 @@ func BenchmarkDurableAppendConcurrent(b *testing.B) {
 // default: the durable plumbing must cost the in-memory append path
 // nothing but a nil check.
 func BenchmarkInMemoryAppend(b *testing.B) {
-	batch := make([]Record, 8)
+	batch := make([]repro.Record, 8)
 	for i := range batch {
-		batch[i] = Record{Events: []string{
+		batch[i] = repro.Record{Events: []string{
 			fmt.Sprintf("ev%d", i), "login", "view", fmt.Sprintf("ev%d", (i*7)%16), "logout",
 		}}
 	}
-	db := NewDatabase()
+	db := repro.NewDatabase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

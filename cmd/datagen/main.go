@@ -6,8 +6,8 @@
 //	datagen -dataset tcas -o tcas.txt
 //	datagen -dataset jboss -o jboss.txt
 //
-// See DESIGN.md §5 for how each generator substitutes the paper's
-// unavailable original datasets.
+// See EXPERIMENTS.md ("Datasets") for how each generator substitutes
+// the paper's unavailable original datasets.
 package main
 
 import (

@@ -1,12 +1,17 @@
-// Command experiments regenerates the paper's evaluation artifacts
-// (Table I semantics, Figures 2-6 sweeps, and the Section IV-B case study).
+// Command experiments runs the paper's evaluation (Table I, Figures 2-6,
+// the Section IV-B case study and the top-k scaling grid) from one
+// experiment spec, and renders the results.
 //
-//	experiments -exp all -scale bench     # scaled-down, minutes total
-//	experiments -exp fig2 -scale full     # paper-scale (can run for hours)
+//	experiments -spec scripts/paper/bench.json -csv bench.csv   # run; one CSV line per repeat
+//	experiments -spec scripts/paper/bench.json -repeat 1        # override the spec's repeat count
+//	experiments -render bench.csv,grid.csv                      # markdown: Table I + one table per figure
 //
-// Scaled runs preserve the figures' qualitative shape (who wins, how the
-// gap moves) at laptop-friendly sizes; -scale full uses the paper's
-// dataset parameters. See EXPERIMENTS.md for recorded results.
+// Specs are JSON (see internal/harness.Spec): each row names a figure, a
+// series, the x value it plots, a generated dataset and a repro.Options
+// query in the HTTP mine body's spelling. scripts/paper/bench.json is the
+// scaled-down evaluation (about 20 s per repeat), full.json the paper's
+// dataset parameters (hours) and grid.json the top-k scaling grid.
+// scripts/paper.sh runs a spec and regenerates EXPERIMENTS.md.
 package main
 
 import (
@@ -15,245 +20,92 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/datagen"
 	"repro/internal/harness"
-	"repro/internal/seq"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1, fig2, fig3, fig4, fig5, fig6, case, grid, all")
-		scale   = flag.String("scale", "bench", "bench (scaled-down) or full (paper-scale)")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		gridIn  = flag.String("grid", "", "grid spec JSON for -exp grid (empty = built-in default grid)")
-		gridCSV = flag.String("csv", "", "per-run CSV output path for -exp grid (empty = no CSV)")
+		specPath = flag.String("spec", "", "experiment spec JSON to run")
+		csvPath  = flag.String("csv", "", "CSV output of -spec (empty = stdout)")
+		repeat   = flag.Int("repeat", 0, "runs per row, overriding the spec's repeat count (0 = the spec's)")
+		render   = flag.String("render", "", "comma-separated result CSVs to render as markdown")
 	)
 	flag.Parse()
-	full := *scale == "full"
-	if *scale != "full" && *scale != "bench" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
+	var err error
+	switch {
+	case *specPath != "" && *render == "":
+		err = run(*specPath, *csvPath, *repeat)
+	case *render != "" && *specPath == "":
+		err = renderCSVs(strings.Split(*render, ","))
+	default:
+		err = fmt.Errorf("give exactly one of -spec or -render")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	run := func(name string, fn func(bool, int64) error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("=== %s (%s scale) ===\n", name, *scale)
-		if err := fn(full, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	run("table1", runTable1)
-	run("fig2", runFig2)
-	run("fig3", runFig3)
-	run("fig4", runFig4)
-	run("fig5", runFig5)
-	run("fig6", runFig6)
-	run("case", runCase)
-	// The top-k scaling grid is hardware-dependent (it measures parallel
-	// speedup on the local cores), so it runs only when asked for
-	// explicitly, not under -exp all.
-	if *exp == "grid" {
-		fmt.Printf("=== grid ===\n")
-		if err := runGrid(*gridIn, *gridCSV); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: grid: %v\n", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// runGrid executes the top-k scaling grid (scripts/bench_grid.sh drives
-// this): spec JSON in, per-run CSV out, median/speedup summary table on
-// stdout.
-func runGrid(specPath, csvPath string) error {
-	spec := harness.GridSpec{}
-	if specPath != "" {
-		f, err := os.Open(specPath)
-		if err != nil {
-			return err
-		}
-		spec, err = harness.ParseGridSpec(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	rows, err := harness.RunGrid(spec)
+func run(specPath, csvPath string, repeat int) error {
+	f, err := os.Open(specPath)
 	if err != nil {
 		return err
 	}
+	spec, err := harness.ParseSpec(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if repeat > 0 {
+		spec.Repeat = repeat
+	}
+	out := os.Stdout
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
+		if out, err = os.Create(csvPath); err != nil {
 			return err
 		}
-		if err := harness.WriteGridCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d runs to %s\n", len(rows), csvPath)
+		defer out.Close() // error paths; success checks Close below
 	}
-	fmt.Print(harness.GridSummaryTable(rows))
-	return nil
-}
-
-func runTable1(bool, int64) error {
-	res, err := harness.Table1()
+	w, err := harness.NewCSVWriter(out)
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Render())
-	return nil
-}
-
-func printSweep(db *seq.DB, label string, cfg harness.SweepConfig) error {
-	fmt.Printf("dataset %s: %s\n", label, seq.ComputeStats(db).String())
-	sweep, err := harness.RunMinSupSweep(db, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sweep.Table())
-	for _, v := range harness.CheckShape(sweep, true) {
-		fmt.Println("SHAPE VIOLATION:", v)
-	}
-	return nil
-}
-
-func runFig2(full bool, seed int64) error {
-	if full {
-		db, err := datagen.Quest(datagen.QuestParams{D: 5, C: 20, N: 10, S: 20, Seed: seed})
-		if err != nil {
-			return err
-		}
-		// The paper sweeps min_sup 10..3 with GSgrow cut off below 7.
-		return printSweep(db, "D5C20N10S20", harness.SweepConfig{
-			MinSups: []int{10, 9, 8, 7, 6, 5, 4, 3}, AllCutoff: 7, AllBudget: 5_000_000,
-		})
-	}
-	db, err := datagen.Quest(datagen.QuestParams{D: 1, C: 20, N: 1, S: 20, Seed: seed})
-	if err != nil {
-		return err
-	}
-	return printSweep(db, "D1C20N1S20 (scaled)", harness.SweepConfig{
-		MinSups: []int{20, 15, 10, 8, 6, 5}, AllBudget: 1_000_000,
+	var recs []harness.Record
+	err = harness.Run(spec, func(r harness.Record) error {
+		fmt.Fprintf(os.Stderr, "%s %s x=%g #%d: %d patterns in %v\n", r.Figure, r.Series, r.X, r.Repeat, r.Patterns, r.Elapsed)
+		recs = append(recs, r)
+		return w.Write(r)
 	})
-}
-
-func runFig3(full bool, seed int64) error {
-	if full {
-		db, err := datagen.Gazelle(datagen.GazelleParams{Seed: seed})
-		if err != nil {
-			return err
-		}
-		// The paper sweeps 66..8 with GSgrow cut off below 63.
-		return printSweep(db, "Gazelle", harness.SweepConfig{
-			MinSups: []int{66, 65, 64, 63, 30, 15, 8}, AllCutoff: 63, AllBudget: 5_000_000,
-		})
-	}
-	db, err := datagen.Gazelle(datagen.GazelleParams{NumSequences: 5000, Seed: seed})
 	if err != nil {
 		return err
 	}
-	return printSweep(db, "Gazelle (5000 sessions)", harness.SweepConfig{
-		MinSups: []int{30, 20, 15, 10, 8}, AllBudget: 1_000_000,
-	})
-}
-
-func runFig4(full bool, seed int64) error {
-	db, err := datagen.TCAS(datagen.TCASParams{Seed: seed})
-	if err != nil {
-		return err
+	for _, v := range harness.CheckShape(recs) {
+		fmt.Fprintln(os.Stderr, "SHAPE VIOLATION:", v)
 	}
-	if full {
-		// The paper runs CloGSgrow down to min_sup = 1 and cuts GSgrow off
-		// below 886; our trace generator is already at dataset scale, and
-		// the lowest supports can run for a long time.
-		return printSweep(db, "TCAS", harness.SweepConfig{
-			MinSups: []int{3000, 2000, 1500, 1000, 500, 200}, AllCutoff: 1000, AllBudget: 5_000_000,
-		})
-	}
-	return printSweep(db, "TCAS", harness.SweepConfig{
-		MinSups: []int{3000, 2000, 1500, 1000}, AllCutoff: 1000, AllBudget: 1_000_000,
-	})
-}
-
-func runFig5(full bool, seed int64) error {
-	ds := []float64{1, 2, 3}
-	c, n, s, minSup, pool := 25, 2, 12, 20, 800
-	if full {
-		ds = []float64{5, 10, 15, 20, 25}
-		c, n, s, minSup, pool = 50, 10, 25, 20, 2000
-	}
-	// The pattern pool is pinned across the sweep (like Quest's fixed
-	// NS = 5000): with more sequences drawing from the same pool, pattern
-	// frequencies — and hence the counts at fixed min_sup — grow with D,
-	// which is the effect Figure 5 plots.
-	sweep, err := harness.RunDBSweep("Figure 5: varying number of sequences", "D (thousands)",
-		ds, minSup, harness.SweepConfig{AllBudget: 2_000_000},
-		func(x float64) (*seq.DB, error) {
-			return datagen.Quest(datagen.QuestParams{D: int(x), C: c, N: n, S: s, NumPatterns: pool, Seed: seed})
-		})
-	if err != nil {
-		return err
-	}
-	fmt.Print(sweep.Table())
-	for _, v := range harness.CheckShape(sweep, false) {
-		fmt.Println("SHAPE VIOLATION:", v)
-	}
-	return nil
-}
-
-func runFig6(full bool, seed int64) error {
-	lens := []float64{10, 20, 30, 40, 50}
-	d, n, minSup := 2, 2, 20
-	if full {
-		lens = []float64{20, 40, 60, 80, 100}
-		d, n = 10, 10
-	}
-	sweep, err := harness.RunDBSweep("Figure 6: varying average sequence length", "C=S (avg len)",
-		lens, minSup, harness.SweepConfig{AllBudget: 2_000_000},
-		func(x float64) (*seq.DB, error) {
-			return datagen.Quest(datagen.QuestParams{D: d, C: int(x), N: n, S: int(x) / 2, Seed: seed})
-		})
-	if err != nil {
-		return err
-	}
-	fmt.Print(sweep.Table())
-	for _, v := range harness.CheckShape(sweep, false) {
-		fmt.Println("SHAPE VIOLATION:", v)
-	}
-	return nil
-}
-
-func runCase(full bool, seed int64) error {
-	cfg := harness.CaseStudyConfig{
-		JBoss:  datagen.JBossParams{NumTraces: 12, NoiseMean: 2, Seed: seed},
-		MinSup: 12,
-	}
-	if full {
-		cfg = harness.CaseStudyConfig{
-			JBoss:  datagen.JBossParams{Seed: seed},
-			MinSup: 18,
-		}
-	}
-	rep, err := harness.RunCaseStudy(cfg)
-	if err != nil {
-		return err
-	}
-	out := rep.Render()
-	// Trim the long event listing at bench scale.
-	if !full {
-		lines := strings.Split(out, "\n")
-		fmt.Println(strings.Join(lines[:4], "\n"))
-		fmt.Printf("  (longest pattern spans %d events; run -scale full to print it)\n", len(rep.Longest))
-		fmt.Println(lines[len(lines)-2])
+	if out == os.Stdout {
 		return nil
 	}
-	fmt.Print(out)
-	return nil
+	return out.Close()
+}
+
+func renderCSVs(paths []string) error {
+	var recs []harness.Record
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return err
+		}
+		r, err := harness.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", p, err)
+		}
+		recs = append(recs, r...)
+	}
+	out, err := harness.Render(recs)
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.WriteString(out)
+	return err
 }

@@ -13,35 +13,28 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/datagen"
-	"repro/internal/postprocess"
-	"repro/internal/seq"
+	"repro/internal/harness"
 )
 
 func main() {
 	// Synthesize the case-study workload (the original industrial traces
 	// are not redistributable; the generator rebuilds their published
-	// structure — see DESIGN.md §5).
-	db, err := datagen.JBoss(datagen.JBossParams{NumTraces: 12, NoiseMean: 2, Seed: 9})
+	// structure — see EXPERIMENTS.md, "Case study"), mine its closed
+	// patterns and apply the case-study post-processing: density > 40%,
+	// maximal only, rank by length.
+	rep, err := harness.CaseStudy(
+		harness.Dataset{JBoss: &datagen.JBossParams{NumTraces: 12, NoiseMean: 2, Seed: 9}},
+		repro.Options{MinSupport: 12, Closed: true}, 0.40)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("traces:", seq.ComputeStats(db).String())
+	fmt.Println("traces:", rep.Dataset.String())
+	fmt.Printf("CloGSgrow: %d closed patterns in %v\n", rep.Mined.NumPatterns, rep.Mined.Elapsed)
+	fmt.Printf("after post-processing: %d patterns\n\n", len(rep.Kept))
 
-	ix := seq.NewIndex(db)
-	res, err := core.Mine(ix, core.Options{MinSupport: 12, Closed: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("CloGSgrow: %d closed patterns in %v\n", res.NumPatterns, res.Stats.Duration)
-
-	// Case-study post-processing: density > 40%, maximal only, rank by
-	// length.
-	kept := postprocess.CaseStudyPipeline(res.Patterns, 0.40)
-	fmt.Printf("after post-processing: %d patterns\n\n", len(kept))
-
-	longest := kept[0]
+	longest := rep.Kept[0]
 	fmt.Printf("longest behavioural pattern: %d events, support %d\n", len(longest.Events), longest.Support)
 	blocks := []struct{ name, first string }{
 		{"Connection Set Up", "TransManLoc.getInstance"},
@@ -51,8 +44,7 @@ func main() {
 		{"Transaction Commit", "TxManager.commit"},
 		{"Transaction Dispose", "TxManager.releaseTransImpl"},
 	}
-	for i, e := range longest.Events {
-		name := db.Dict.Name(e)
+	for i, name := range longest.Events {
 		for _, blk := range blocks {
 			if name == blk.first {
 				fmt.Printf("  -- %s --\n", blk.name)
@@ -62,16 +54,6 @@ func main() {
 	}
 
 	// The most frequent fine-grained behaviour.
-	var pair core.Pattern
-	for _, p := range res.Patterns {
-		if len(p.Events) == 2 && p.Support > pair.Support {
-			pair = p
-		}
-	}
-	names := make([]string, len(pair.Events))
-	for i, e := range pair.Events {
-		names[i] = db.Dict.Name(e)
-	}
 	fmt.Printf("\nmost frequent 2-event behaviour: %s (support %d)\n",
-		strings.Join(names, " -> "), pair.Support)
+		strings.Join(rep.Pair.Events, " -> "), rep.Pair.Support)
 }

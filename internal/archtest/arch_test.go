@@ -32,6 +32,10 @@ import (
 //	internal/repl   storage stack only     (replication transport; must
 //	                                        not reach the mining layers
 //	                                        or the server above it)
+//	internal/harness repro + generators,   (experiment runner; mines
+//	                 post-processing and    through repro.Options like
+//	                 baselines              every other caller, never
+//	                                        internal/core directly)
 var archRules = []struct {
 	dir     string
 	allowed map[string]bool // non-stdlib import path -> permitted
@@ -57,6 +61,13 @@ var archRules = []struct {
 		"repro/internal/store": true,
 		"repro/internal/vfs":   true,
 		"repro/internal/wal":   true,
+	}},
+	{dir: "../harness", allowed: map[string]bool{
+		"repro":                      true,
+		"repro/internal/baseline":    true,
+		"repro/internal/datagen":     true,
+		"repro/internal/postprocess": true,
+		"repro/internal/seq":         true,
 	}},
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/postprocess"
 	"repro/internal/seq"
@@ -101,7 +100,13 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 
 	patterns := res.Patterns
 	if cfg.Density > 0 {
-		if patterns, err = caseStudy(cfg, data, patterns); err != nil {
+		// The pipeline ranks ties in event-ID order; a parse of the same
+		// input assigns the IDs exactly as the miner's own parse did.
+		db, err := parse(cfg.Format, data)
+		if err != nil {
+			return err
+		}
+		if patterns, err = postprocess.CaseStudy(db, patterns, cfg.Density); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "# post-processing (density>%.2f, maximal, ranked): %d patterns\n", cfg.Density, len(patterns))
@@ -131,36 +136,6 @@ func parse(format string, data []byte) (*seq.DB, error) {
 		return nil, err
 	}
 	return seq.Parse(bytes.NewReader(data), f)
-}
-
-// caseStudy applies the paper's case-study pipeline to the mined patterns.
-// The pipeline breaks ranking ties in event-ID order, so the patterns are
-// mapped onto a seq.DB parsed from the same input, which assigns event IDs
-// exactly as the miner's own parse did.
-func caseStudy(cfg MineConfig, data []byte, patterns []repro.Pattern) ([]repro.Pattern, error) {
-	db, err := parse(cfg.Format, data)
-	if err != nil {
-		return nil, err
-	}
-	byKey := make(map[string]repro.Pattern, len(patterns))
-	ids := make([]core.Pattern, len(patterns))
-	for i, p := range patterns {
-		if ids[i].Events, err = db.EventSeq(p.Events); err != nil {
-			return nil, err
-		}
-		ids[i].Support = p.Support
-		byKey[strings.Join(p.Events, "\x00")] = p
-	}
-	kept := postprocess.CaseStudyPipeline(ids, cfg.Density)
-	out := make([]repro.Pattern, len(kept))
-	for i, p := range kept {
-		names := make([]string, len(p.Events))
-		for j, e := range p.Events {
-			names[j] = db.Dict.Name(e)
-		}
-		out[i] = byKey[strings.Join(names, "\x00")]
-	}
-	return out, nil
 }
 
 func reportSupport(cfg MineConfig, snap *repro.Snapshot, out io.Writer) {

@@ -9,9 +9,9 @@ import (
 // MineAllFull mines all frequent patterns exactly like GSgrow but carries
 // full landmarks through the DFS instead of the compressed (i, l1, ln)
 // triples. It exists to quantify the benefit of the paper's "Compressed
-// Storage of Instances" (Section III-D) — ablation A4 in DESIGN.md. Output
-// is identical to Mine with Closed=false; only the per-step allocation and
-// copying differ.
+// Storage of Instances" (Section III-D) — ablation A4 in EXPERIMENTS.md
+// ("Ablations"). Output is identical to Mine with Closed=false; only the
+// per-step allocation and copying differ.
 func MineAllFull(v IndexView, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err

@@ -7,8 +7,8 @@
 // The original artifacts are unavailable (proprietary IBM binary, KDD-Cup
 // data, Siemens traces, industrial JBoss traces); each generator matches
 // the published dataset statistics and the structural properties the
-// paper's experiments rely on. See DESIGN.md §5 for the substitution
-// rationale. All generators are deterministic given their Seed.
+// paper's experiments rely on. See EXPERIMENTS.md ("Datasets") for the
+// substitution rationale. All generators are deterministic given their Seed.
 package datagen
 
 import (
@@ -31,7 +31,7 @@ type QuestParams struct {
 
 	// NumPatterns is the size of the planted-pattern pool (Quest's NS,
 	// 5000 in the original; scaled-down runs use fewer). 0 selects
-	// max(25, D*20).
+	// D*400 clamped to [200, 5000].
 	NumPatterns int
 	// Corruption is the probability an event of a planted pattern is
 	// dropped when pasted into a sequence (Quest's corruption level);

@@ -3,113 +3,65 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/datagen"
+	"repro"
 	"repro/internal/postprocess"
 	"repro/internal/seq"
 )
 
-// CaseStudyConfig parameterizes the Section IV-B case study. The zero
-// value selects the paper's settings: 28 JBoss-like traces, min_sup 18,
-// density threshold 0.40.
-type CaseStudyConfig struct {
-	JBoss            datagen.JBossParams
-	MinSup           int     // 0 selects 18
-	DensityThreshold float64 // 0 selects 0.40
-	// MaxPatterns optionally bounds the closed mining run (0 = unlimited);
-	// scaled-down benchmark runs use it to stay fast.
-	MaxPatterns int
-}
-
-// CaseStudyReport is what the case study reports: pattern counts before and
-// after post-processing, the longest surviving pattern, and the most
-// frequent two-event behaviour.
+// CaseStudyReport is what Section IV-B reports of a mined pattern set:
+// the patterns the density/maximality/ranking pipeline keeps (the first
+// is the longest behaviour) and the most frequent two-event behaviour
+// among all mined patterns (the paper finds Lock -> Unlock).
 type CaseStudyReport struct {
-	Stats          seq.Stats
-	MinSup         int
-	TotalClosed    int
-	AfterPipeline  int
-	Longest        []string // event names of the longest surviving pattern
-	LongestSupport int
-	// FrequentPair is the highest-support length-2 closed pattern (the
-	// paper finds Lock -> Unlock).
-	FrequentPair        []string
-	FrequentPairSupport int
-	MiningTime          time.Duration
-	Truncated           bool
+	Dataset seq.Stats
+	Mined   *repro.Result
+	Density float64
+	Kept    []repro.Pattern
+	Pair    repro.Pattern
 }
 
-// RunCaseStudy generates the JBoss-like traces, mines closed repetitive
-// patterns, applies the density/maximality/ranking pipeline, and reports
-// the paper's headline findings.
-func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyReport, error) {
-	if cfg.MinSup == 0 {
-		cfg.MinSup = 18
+// CaseStudy generates ds and mines it with opt through the runner's own
+// path, then applies the case-study pipeline at the density threshold.
+func CaseStudy(ds Dataset, opt repro.Options, density float64) (*CaseStudyReport, error) {
+	if err := ds.check(); err != nil {
+		return nil, err
 	}
-	if cfg.DensityThreshold == 0 {
-		cfg.DensityThreshold = 0.40
-	}
-	db, err := datagen.JBoss(cfg.JBoss)
+	d, err := load(ds)
 	if err != nil {
 		return nil, err
 	}
-	ix := seq.NewIndex(db)
-	res, err := core.Mine(ix, core.Options{
-		MinSupport:  cfg.MinSup,
-		Closed:      true,
-		MaxPatterns: cfg.MaxPatterns,
-	})
+	res, err := d.snap.Mine(opt)
 	if err != nil {
 		return nil, err
 	}
-	report := &CaseStudyReport{
-		Stats:       seq.ComputeStats(db),
-		MinSup:      cfg.MinSup,
-		TotalClosed: res.NumPatterns,
-		MiningTime:  res.Stats.Duration,
-		Truncated:   res.Stats.Truncated,
+	return caseStudy(d.db, res, density)
+}
+
+func caseStudy(db *seq.DB, res *repro.Result, density float64) (*CaseStudyReport, error) {
+	kept, err := postprocess.CaseStudy(db, res.Patterns, density)
+	if err != nil {
+		return nil, err
 	}
-	kept := postprocess.CaseStudyPipeline(res.Patterns, cfg.DensityThreshold)
-	report.AfterPipeline = len(kept)
-	if len(kept) > 0 {
-		report.Longest = eventNames(db, kept[0].Events)
-		report.LongestSupport = kept[0].Support
-	}
-	// Most frequent 2-event closed pattern.
+	r := &CaseStudyReport{Dataset: seq.ComputeStats(db), Mined: res, Density: density, Kept: kept}
 	for _, p := range res.Patterns {
-		if len(p.Events) == 2 && p.Support > report.FrequentPairSupport {
-			report.FrequentPair = eventNames(db, p.Events)
-			report.FrequentPairSupport = p.Support
+		if len(p.Events) == 2 && (p.Support > r.Pair.Support ||
+			p.Support == r.Pair.Support && strings.Join(p.Events, " ") < strings.Join(r.Pair.Events, " ")) {
+			r.Pair = p
 		}
 	}
-	return report, nil
+	return r, nil
 }
 
-func eventNames(db *seq.DB, events []seq.EventID) []string {
-	out := make([]string, len(events))
-	for i, e := range events {
-		out[i] = db.Dict.Name(e)
+// Summary is the report as one CSV-safe line (no commas): the dataset,
+// the pipeline's yield, the longest kept pattern and the top pair.
+func (r *CaseStudyReport) Summary() string {
+	var longest repro.Pattern
+	if len(r.Kept) > 0 {
+		longest = r.Kept[0]
 	}
-	return out
-}
-
-// Render formats the case-study report.
-func (r *CaseStudyReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "JBoss-like transaction traces: %s\n", r.Stats.String())
-	fmt.Fprintf(&b, "min_sup=%d: %d closed patterns in %s", r.MinSup, r.TotalClosed, r.MiningTime)
-	if r.Truncated {
-		b.WriteString(" (truncated at budget)")
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "after density/maximality/ranking: %d patterns\n", r.AfterPipeline)
-	fmt.Fprintf(&b, "longest pattern: %d events (support %d)\n", len(r.Longest), r.LongestSupport)
-	for i, e := range r.Longest {
-		fmt.Fprintf(&b, "  %2d. %s\n", i+1, e)
-	}
-	fmt.Fprintf(&b, "most frequent 2-event behaviour: %s (support %d)\n",
-		strings.Join(r.FrequentPair, " -> "), r.FrequentPairSupport)
-	return b.String()
+	return fmt.Sprintf("traces: %s; density > %.2f then maximality and ranking keep %d of %d patterns; "+
+		"longest: %d events (support %d); most frequent 2-event behaviour: %s (support %d)",
+		r.Dataset, r.Density, len(r.Kept), r.Mined.NumPatterns, len(longest.Events), longest.Support,
+		strings.Join(r.Pair.Events, " -> "), r.Pair.Support)
 }

@@ -5,88 +5,97 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/seq"
+	"repro/internal/datagen"
 )
 
 func TestSweepTableTruncationMarkers(t *testing.T) {
-	s := &Sweep{
-		Name:   "test sweep",
-		XLabel: "min_sup",
-		Points: []SweepPoint{
-			{X: 10, AllTime: time.Second, ClosedTime: time.Millisecond, AllCount: 100, ClosedCount: 10},
-			{X: 5, AllTime: 2 * time.Second, ClosedTime: 5 * time.Millisecond, AllCount: 5000, ClosedCount: 50, AllTruncated: true},
-			{X: 2, ClosedTime: time.Second, ClosedCount: 400, AllSkipped: true},
-		},
+	recs := []Record{
+		{Figure: "f", Series: "all", X: 10, Dataset: "D", Repeat: 1, Elapsed: time.Second, Patterns: 100},
+		{Figure: "f", Series: "closed", X: 10, Dataset: "D", Repeat: 1, Elapsed: time.Millisecond, Patterns: 10},
+		{Figure: "f", Series: "all", X: 5, Dataset: "D", Repeat: 1, Elapsed: 2 * time.Second, Patterns: 5000, Truncated: true},
+		{Figure: "f", Series: "closed", X: 5, Dataset: "D", Repeat: 1, Elapsed: 5 * time.Millisecond, Patterns: 50},
+		{Figure: "f", Series: "closed", X: 2, Dataset: "D", Repeat: 1, Elapsed: time.Second, Patterns: 400},
 	}
-	tbl := s.Table()
-	if !strings.Contains(tbl, "5000*") {
-		t.Errorf("truncated count not starred:\n%s", tbl)
+	tbl, err := Render(recs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(tbl, "2.00s*") {
-		t.Errorf("truncated time not starred:\n%s", tbl)
-	}
-	if !strings.Contains(tbl, "pattern budget") {
-		t.Errorf("truncation legend missing:\n%s", tbl)
-	}
-	// Skipped point renders '-' in both all columns.
-	var skippedLine string
-	for _, line := range strings.Split(tbl, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "2 ") {
-			skippedLine = line
+	for _, want := range []string{
+		"| x | all median | all IQR | all patterns | closed median | closed IQR | closed patterns |",
+		"| 5 | 2.00s* | 0µs | 5000* | 5.0ms | 0µs | 50 |",
+		"| 2 | - | - | - | 1.00s | 0µs | 400 |", // skipped point: dashes
+		"pattern budget",
+	} {
+		if !strings.Contains(tbl, want) {
+			t.Errorf("render lacks %q:\n%s", want, tbl)
 		}
-	}
-	if strings.Count(skippedLine, "-") < 2 {
-		t.Errorf("skipped point not rendered with dashes: %q", skippedLine)
 	}
 }
 
 func TestSweepTableNoLegendWithoutTruncation(t *testing.T) {
-	s := &Sweep{Name: "t", XLabel: "x", Points: []SweepPoint{{X: 1, ClosedCount: 1}}}
-	if strings.Contains(s.Table(), "pattern budget") {
-		t.Error("legend printed without truncated points")
+	tbl, err := Render([]Record{{Figure: "f", Series: "closed", X: 1, Repeat: 1, Patterns: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(tbl, "pattern budget") || strings.Contains(tbl, "cut-off region") {
+		t.Errorf("legend printed without truncated or skipped points:\n%s", tbl)
+	}
+}
+
+// TestRenderMedianIQR: repeats collapse to their median and
+// interquartile range (linear interpolation between order statistics).
+func TestRenderMedianIQR(t *testing.T) {
+	var recs []Record
+	for i, ms := range []int{40, 10, 20, 30, 50} {
+		recs = append(recs, Record{Figure: "f", Series: "closed", X: 1, Repeat: i + 1,
+			Elapsed: time.Duration(ms) * time.Millisecond, Patterns: 7})
+	}
+	tbl, err := Render(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tbl, "| 1 | 30.0ms | 20.0ms | 7 |") {
+		t.Errorf("median/IQR wrong:\n%s", tbl)
 	}
 }
 
 func TestCheckShapeViolations(t *testing.T) {
-	bad := &Sweep{Points: []SweepPoint{
-		{X: 10, AllCount: 5, ClosedCount: 9}, // closed > all
-	}}
-	if viol := CheckShape(bad, false); len(viol) != 1 {
+	rec := func(series string, x float64, n int, trunc bool) Record {
+		return Record{Figure: "f", Series: series, X: x, Dataset: "D", Repeat: 1, Patterns: n, Truncated: trunc}
+	}
+	if viol := CheckShape([]Record{rec("all", 10, 5, false), rec("closed", 10, 9, false)}); len(viol) != 1 {
+		t.Errorf("closed > all: violations = %v, want 1", viol)
+	}
+	// Closed count shrinking as min_sup drops is a violation on one
+	// dataset, but not across datasets (a Figure 5/6 sweep).
+	shrink := []Record{rec("closed", 10, 40, false), rec("closed", 5, 30, false)}
+	if viol := CheckShape(shrink); len(viol) != 1 {
 		t.Errorf("violations = %v, want 1", viol)
 	}
-	// Closed count shrinking as min_sup drops is a violation in a
-	// descending sweep.
-	shrink := &Sweep{Points: []SweepPoint{
-		{X: 10, AllCount: 50, ClosedCount: 40},
-		{X: 5, AllCount: 60, ClosedCount: 30},
-	}}
-	if viol := CheckShape(shrink, true); len(viol) != 1 {
-		t.Errorf("violations = %v, want 1", viol)
+	shrink[1].Dataset = "E"
+	if viol := CheckShape(shrink); len(viol) != 0 {
+		t.Errorf("a dataset sweep should not flag count order: %v", viol)
 	}
-	if viol := CheckShape(shrink, false); len(viol) != 0 {
-		t.Errorf("non-descending sweep should not flag count order: %v", viol)
-	}
-	// Truncated/skipped points are exempt from the closed<=all check.
-	trunc := &Sweep{Points: []SweepPoint{
-		{X: 10, AllCount: 5, ClosedCount: 9, AllTruncated: true},
-		{X: 5, ClosedCount: 9, AllSkipped: true},
-	}}
-	if viol := CheckShape(trunc, true); len(viol) != 0 {
+	// A budget-stopped or missing GSgrow run is exempt from closed <= all.
+	if viol := CheckShape([]Record{rec("all", 10, 5, true), rec("closed", 10, 9, false), rec("closed", 10, 9, false)}); len(viol) != 0 {
 		t.Errorf("truncated points flagged: %v", viol)
+	}
+	// CloGSgrow must complete everywhere.
+	if viol := CheckShape([]Record{rec("closed", 10, 9, true)}); len(viol) != 1 {
+		t.Errorf("truncated closed run: violations = %v, want 1", viol)
 	}
 }
 
+// TestRunMinSupSweepBudgetMarksTruncation: an "all" row that reaches its
+// maxPatterns budget stops there and is marked truncated; the closed row
+// at the same x completes.
 func TestRunMinSupSweepBudgetMarksTruncation(t *testing.T) {
-	db := seq.NewDB()
-	db.AddChars("", "ABCDEFGHIJ") // 1023 patterns at min_sup 1
-	sweep, err := RunMinSupSweep(db, SweepConfig{MinSups: []int{1}, AllBudget: 10})
-	if err != nil {
-		t.Fatal(err)
+	ds := Dataset{Quest: &datagen.QuestParams{D: 1, C: 10, N: 1, S: 5, Seed: 3}}
+	recs := run(t, Spec{Rows: sweep("budget", ds, 10, 0, 5)})
+	if a := recs[0]; a.Series != "all" || !a.Truncated || a.Patterns != 10 {
+		t.Errorf("budgeted all row: %+v", a)
 	}
-	if !sweep.Points[0].AllTruncated || sweep.Points[0].AllCount != 10 {
-		t.Errorf("point: %+v", sweep.Points[0])
-	}
-	if sweep.Points[0].ClosedCount != 1 {
-		t.Errorf("closed count = %d, want 1 (only the full sequence)", sweep.Points[0].ClosedCount)
+	if c := recs[1]; c.Series != "closed" || c.Truncated || c.Patterns <= 10 {
+		t.Errorf("closed row: %+v", c)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro"
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/seq"
 )
 
@@ -32,7 +32,11 @@ func Table1() (*Table1Result, error) {
 	db := seq.NewDB()
 	db.AddChars("S1", "AABCDABB")
 	db.AddChars("S2", "ABCD")
-	ix := seq.NewIndex(db)
+	pub, err := repro.Load(strings.NewReader("S1:AABCDABB\nS2:ABCD\n"), repro.Chars)
+	if err != nil {
+		return nil, err
+	}
+	snap := pub.Snapshot()
 	ab, err := db.EventSeq([]string{"A", "B"})
 	if err != nil {
 		return nil, err
@@ -48,7 +52,7 @@ func Table1() (*Table1Result, error) {
 		res.Rows = append(res.Rows, Table1Row{def, supAB, supCD, note})
 	}
 	add("repetitive support (this paper)",
-		fmt.Sprint(core.SupportOf(ix, ab)), fmt.Sprint(core.SupportOf(ix, cd)),
+		fmt.Sprint(snap.Support([]string{"A", "B"})), fmt.Sprint(snap.Support([]string{"C", "D"})),
 		"max non-overlapping instances")
 	add("sequential pattern mining [1]",
 		fmt.Sprint(baseline.SequenceSupport(db, ab)), fmt.Sprint(baseline.SequenceSupport(db, cd)),
@@ -74,14 +78,15 @@ func Table1() (*Table1Result, error) {
 		"MSC/LSC QRE occurrences")
 
 	// Larger example from the introduction.
-	large := seq.NewDB()
-	for i := 0; i < 50; i++ {
-		large.AddChars("", "CABABABABABD")
+	text := strings.Repeat("CABABABABABD\n", 50) + strings.Repeat("ABCD\n", 50)
+	large, err := seq.ParseString(text, seq.FormatChars)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < 50; i++ {
-		large.AddChars("", "ABCD")
+	largePub, err := repro.Load(strings.NewReader(text), repro.Chars)
+	if err != nil {
+		return nil, err
 	}
-	lix := seq.NewIndex(large)
 	lab, err := large.EventSeq([]string{"A", "B"})
 	if err != nil {
 		return nil, err
@@ -90,23 +95,22 @@ func Table1() (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.LargeRepetitiveAB = core.SupportOf(lix, lab)
-	res.LargeRepetitiveCD = core.SupportOf(lix, lcd)
+	res.LargeRepetitiveAB = largePub.Support([]string{"A", "B"})
+	res.LargeRepetitiveCD = largePub.Support([]string{"C", "D"})
 	res.LargeSequenceAB = baseline.SequenceSupport(large, lab)
 	res.LargeSequenceCD = baseline.SequenceSupport(large, lcd)
 	return res, nil
 }
 
-// Render formats the comparison as an aligned table.
+// Render formats the comparison as a markdown table.
 func (t *Table1Result) Render() string {
 	var b strings.Builder
-	b.WriteString("Support of AB and CD in Example 1.1 (S1=AABCDABB, S2=ABCD) under each definition:\n")
-	fmt.Fprintf(&b, "%-38s %-16s %-8s %s\n", "definition", "sup(AB)", "sup(CD)", "note")
+	b.WriteString("Support of AB and CD in Example 1.1 (S1=AABCDABB, S2=ABCD) under each definition:\n\n")
+	b.WriteString("| definition | sup(AB) | sup(CD) | note |\n|---|---|---|---|\n")
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-38s %-16s %-8s %s\n", r.Definition, r.SupAB, r.SupCD, r.Note)
+		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", r.Definition, r.SupAB, r.SupCD, r.Note)
 	}
-	fmt.Fprintf(&b, "\nLarger example (50×CABABABABABD + 50×ABCD):\n")
-	fmt.Fprintf(&b, "  repetitive: sup(AB)=%d sup(CD)=%d   sequential: sup(AB)=%d sup(CD)=%d\n",
+	fmt.Fprintf(&b, "\nLarger example (50×CABABABABABD + 50×ABCD): repetitive sup(AB)=%d sup(CD)=%d, sequential sup(AB)=%d sup(CD)=%d.\n",
 		t.LargeRepetitiveAB, t.LargeRepetitiveCD, t.LargeSequenceAB, t.LargeSequenceCD)
 	return b.String()
 }

@@ -8,7 +8,9 @@ package postprocess
 
 import (
 	"sort"
+	"strings"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/seq"
 )
@@ -86,9 +88,38 @@ func RankByLength(patterns []core.Pattern) []core.Pattern {
 	return out
 }
 
-// CaseStudyPipeline applies the three steps with the case study's
-// parameters: density > densityThreshold, maximality, rank by length.
-func CaseStudyPipeline(patterns []core.Pattern, densityThreshold float64) []core.Pattern {
+// CaseStudy applies the case-study pipeline to mined patterns: density >
+// densityThreshold, maximality, rank by length. It is the one entry point
+// of the pipeline, shared by gsgrow -density, the experiment runner and
+// the traces example. The ranking breaks ties in event-ID order, so db
+// must assign event IDs as the mined database did (the database itself,
+// or a parse of the same input); every pattern event must name an event
+// of db. It returns the kept patterns, ranked.
+func CaseStudy(db *seq.DB, patterns []repro.Pattern, densityThreshold float64) ([]repro.Pattern, error) {
+	byKey := make(map[string]repro.Pattern, len(patterns))
+	ids := make([]core.Pattern, len(patterns))
+	for i, p := range patterns {
+		events, err := db.EventSeq(p.Events)
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = core.Pattern{Events: events, Support: p.Support}
+		byKey[strings.Join(p.Events, "\x00")] = p
+	}
+	kept := pipeline(ids, densityThreshold)
+	out := make([]repro.Pattern, len(kept))
+	for i, p := range kept {
+		names := make([]string, len(p.Events))
+		for j, e := range p.Events {
+			names[j] = db.Dict.Name(e)
+		}
+		out[i] = byKey[strings.Join(names, "\x00")]
+	}
+	return out, nil
+}
+
+// pipeline applies the three steps in event-ID form.
+func pipeline(patterns []core.Pattern, densityThreshold float64) []core.Pattern {
 	return RankByLength(FilterMaximal(FilterDensity(patterns, densityThreshold)))
 }
 

@@ -3,6 +3,7 @@ package postprocess
 import (
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/seq"
 )
@@ -100,7 +101,7 @@ func TestCaseStudyPipeline(t *testing.T) {
 		mk(7, 7, 7, 7, 7, 7, 1), // density 2/7 < 0.4 -> dropped
 		mk(5, 6),                // maximal
 	}
-	got := CaseStudyPipeline(ps, 0.4)
+	got := pipeline(ps, 0.4)
 	if len(got) != 2 {
 		t.Fatalf("pipeline kept %d, want 2: %v", len(got), got)
 	}
@@ -113,22 +114,31 @@ func TestPipelineOnRealMiningOutput(t *testing.T) {
 	db := seq.NewDB()
 	db.AddChars("S1", "ABCABCABC")
 	db.AddChars("S2", "ABCXYABC")
-	ix := seq.NewIndex(db)
-	res, err := core.Mine(ix, core.Options{MinSupport: 2, Closed: true})
+	pub := repro.NewDatabase()
+	pub.AddString("S1", "ABCABCABC")
+	pub.AddString("S2", "ABCXYABC")
+	res, err := pub.Mine(repro.Options{MinSupport: 2, Closed: true, CollectInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := CaseStudyPipeline(res.Patterns, 0.4)
+	out, err := CaseStudy(db, res.Patterns, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) == 0 {
 		t.Fatal("pipeline dropped everything")
 	}
-	// Every output pattern must be maximal within the output.
+	// Every output pattern must be maximal within the output, and carry
+	// the mined pattern's support and instances.
 	for i := range out {
+		if len(out[i].Instances) == 0 || out[i].Support != len(out[i].Instances) {
+			t.Errorf("pattern %v lost its mined support set: %+v", out[i].Events, out[i])
+		}
 		for j := range out {
 			if i == j {
 				continue
 			}
-			if len(out[i].Events) < len(out[j].Events) && isSubsequence(out[i].Events, out[j].Events) {
+			if len(out[i].Events) < len(out[j].Events) && isSubsequence(ids(t, db, out[i].Events), ids(t, db, out[j].Events)) {
 				t.Errorf("pattern %v contained in %v", out[i].Events, out[j].Events)
 			}
 		}
@@ -139,4 +149,16 @@ func TestPipelineOnRealMiningOutput(t *testing.T) {
 			t.Error("not ranked by length")
 		}
 	}
+	if _, err := CaseStudy(db, []repro.Pattern{{Events: []string{"Q"}, Support: 2}}, 0.4); err == nil {
+		t.Error("pattern naming an event outside db accepted")
+	}
+}
+
+func ids(t *testing.T, db *seq.DB, names []string) []seq.EventID {
+	t.Helper()
+	events, err := db.EventSeq(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }

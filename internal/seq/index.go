@@ -1,6 +1,6 @@
 package seq
 
-import "sort"
+import "slices"
 
 // IndexOptions tunes index construction.
 type IndexOptions struct {
@@ -102,35 +102,51 @@ func (ix *Index) fastNextBudget() int64 {
 // table when ix.succBytes stays within the budget. O(K·L) for a sequence
 // of length L with K distinct events.
 func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
-	// Count occurrences per event in this sequence.
-	counts := make(map[EventID]int, 16)
-	for _, e := range s {
-		counts[e]++
-		ix.total[e]++
-	}
-	evs := make([]EventID, 0, len(counts))
-	for e := range counts {
-		evs = append(evs, e)
-	}
-	sort.Slice(evs, func(a, b int) bool { return evs[a] < evs[b] })
+	// slot first marks each event of s (0 when seen, 1 once collected
+	// into evs), then maps it to its index in the sorted evs.
 	slot := make([]int32, nEvents)
 	for k := range slot {
 		slot[k] = -1
 	}
-	lists := make([][]int32, len(evs))
+	distinct := 0
+	for _, e := range s {
+		ix.total[e]++
+		if slot[e] < 0 {
+			slot[e] = 0
+			distinct++
+		}
+	}
+	evs := make([]EventID, 0, distinct)
+	for _, e := range s {
+		if slot[e] == 0 {
+			slot[e] = 1
+			evs = append(evs, e)
+		}
+	}
+	slices.Sort(evs)
 	for k, e := range evs {
-		lists[k] = make([]int32, 0, counts[e])
 		slot[e] = int32(k)
+	}
+	// One backing array holds the last and count columns and every
+	// position list, so a sequence costs a fixed handful of allocations
+	// however many distinct events it has.
+	buf := make([]int32, 2*len(evs)+len(s))
+	last, count, positions := buf[:len(evs):len(evs)], buf[len(evs):2*len(evs):2*len(evs)], buf[2*len(evs):]
+	for _, e := range s {
+		count[slot[e]]++
+	}
+	lists := make([][]int32, len(evs))
+	off := int32(0)
+	for k, c := range count {
+		lists[k] = positions[off : off : off+c]
+		off += c
 	}
 	for pos, e := range s {
 		k := slot[e]
 		lists[k] = append(lists[k], int32(pos+1))
 	}
-	last := make([]int32, len(evs))
-	count := make([]int32, len(evs))
 	for k, list := range lists {
 		last[k] = list[len(list)-1]
-		count[k] = int32(len(list))
 	}
 	t.events = evs
 	t.lists = lists

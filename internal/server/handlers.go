@@ -396,7 +396,13 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	var q mineRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&q); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		// An unknown semantics name fails inside the decoder (Semantics
+		// parses itself); it answers like every other query error.
+		if errors.Is(err, repro.ErrUnknownSemantics) {
+			writeErrorFor(w, err)
+		} else {
+			writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		}
 		return
 	}
 	opt, err := q.options()

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +18,7 @@ import (
 
 // newPrimaryServer starts a durable primary with fast replication
 // cadences and group commit on.
-func newPrimaryServer(t *testing.T) (*Server, *httptest.Server) {
+func newPrimaryServer(t *testing.T) (*Server, *testServer) {
 	t.Helper()
 	s := mustNew(t, Config{
 		DataDir: t.TempDir(),
@@ -24,14 +26,39 @@ func newPrimaryServer(t *testing.T) (*Server, *httptest.Server) {
 		Logf:    t.Logf,
 		tuning:  replTuning{poll: time.Millisecond, heartbeat: 20 * time.Millisecond},
 	})
-	ts := httptest.NewServer(s.Handler())
+	ts := startTestServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
 }
 
+// testServer is an httptest server whose request contexts derive from a
+// cancellable base context, as cli.ServeMain's derive from its signal
+// context. Close cancels that context first: a live WAL stream
+// (repl.Feed.ServeWAL) ends only when its context does, and
+// httptest.Server.Close waits for active requests, so a follower that
+// reconnected just before Close would otherwise keep it waiting forever.
+type testServer struct {
+	*httptest.Server
+	cancel context.CancelFunc
+}
+
+func startTestServer(h http.Handler) *testServer {
+	ctx, cancel := context.WithCancel(context.Background())
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.BaseContext = func(net.Listener) context.Context { return ctx }
+	ts.Start()
+	return &testServer{ts, cancel}
+}
+
+// Close ends every request's context, then shuts the server down.
+func (ts *testServer) Close() {
+	ts.cancel()
+	ts.Server.Close()
+}
+
 // newFollowerServer starts a follower-mode server replicating from
 // upstream, with millisecond cadences so tests converge fast.
-func newFollowerServer(t *testing.T, upstream string, cfg Config) (*Server, *httptest.Server) {
+func newFollowerServer(t *testing.T, upstream string, cfg Config) (*Server, *testServer) {
 	t.Helper()
 	cfg.ReplicateFrom = upstream
 	if cfg.DataDir == "" {
@@ -40,7 +67,7 @@ func newFollowerServer(t *testing.T, upstream string, cfg Config) (*Server, *htt
 	cfg.tuning = replTuning{managerPoll: 5 * time.Millisecond, backoff: time.Millisecond, backoffMax: 20 * time.Millisecond}
 	cfg.Logf = t.Logf
 	s := mustNew(t, cfg)
-	ts := httptest.NewServer(s.Handler())
+	ts := startTestServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
 }
@@ -175,7 +202,7 @@ func TestReplicationE2E(t *testing.T) {
 
 // serverHandler adapts an httptest.Server back into an http.Handler for
 // the shared upload helper.
-func serverHandler(ts *httptest.Server) http.Handler {
+func serverHandler(ts *testServer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequest(r.Method, ts.URL+r.URL.String(), r.Body)
 		if err != nil {
@@ -306,7 +333,7 @@ func TestReplicationLagGate(t *testing.T) {
 	// Kill the primary; contact stops; the gate must flip within a few
 	// heartbeat intervals.
 	pts.CloseClientConnections()
-	pts.Close()
+	pts.Close() // cancels a stream the follower reopened in between
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		code, body = httpJSON(t, "GET", fts.URL+"/readyz", "")

@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -168,5 +169,11 @@ func TestErrorStatusTaxonomy(t *testing.T) {
 		if rec.Code != c.want {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, rec.Code, c.want, rec.Body)
 		}
+	}
+	// An unknown name fails inside the JSON decoder (repro.Semantics
+	// parses itself) and still answers with ParseSemantics' error.
+	rec := doJSON(t, h, "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"bogus"}`)
+	if got, want := strings.TrimSpace(rec.Body.String()), `{"error":"repro: unknown semantics \"bogus\" (want repetitive, nonoverlap, compressed, or gapped)"}`; got != want {
+		t.Errorf("unknown semantics body:\n got %s\nwant %s", got, want)
 	}
 }

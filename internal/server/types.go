@@ -8,50 +8,22 @@ import (
 	"repro"
 )
 
-// mineRequest is the JSON body of POST /v1/databases/{name}/mine: the
-// wire spelling of a repro.Options query, whose Validate holds every rule
-// on it. The zero value is invalid: either MinSupport >= 1 or TopK >= 1
-// must be set.
+// mineRequest is the JSON body of POST /v1/databases/{name}/mine: a
+// repro.Options in its wire spelling (its JSON tags), whose Validate holds
+// every rule on it, plus the response shape. The zero value is invalid:
+// either minSupport >= 1 or topK >= 1 must be set.
 type mineRequest struct {
-	// Closed selects CloGSgrow (closed patterns only).
-	Closed bool `json:"closed"`
-	// MinSupport is the repetitive-support threshold for GSgrow/CloGSgrow.
-	MinSupport int `json:"minSupport"`
-	// TopK, when >= 1, mines the K highest-support patterns instead of
-	// thresholding; MinSupport is ignored.
-	TopK int `json:"topK"`
-	// Workers > 1 mines with that many goroutines — work-stealing DFS for
-	// every threshold mode, sharded best-first search for top-k. Results are
-	// identical to the single-worker run in every mode. Requests above
-	// maxWorkers are rejected: per-worker state is allocated eagerly, so
-	// an unbounded client-chosen count would be a memory DoS vector.
-	Workers int `json:"workers"`
-	// MaxPatternLength bounds pattern length; 0 = unbounded.
-	MaxPatternLength int `json:"maxPatternLength"`
-	// MaxPatterns stops the run after that many patterns; 0 = unbounded.
-	MaxPatterns int `json:"maxPatterns"`
-	// Instances attaches each pattern's leftmost support set.
-	Instances bool `json:"instances"`
+	repro.Options
 	// Stream selects an NDJSON response: one pattern object per line as
 	// they are mined, then a final {"summary": ...} line. Also selected by
 	// an "Accept: application/x-ndjson" header.
 	Stream bool `json:"stream"`
-	// Semantics selects the occurrence semantics: "repetitive" (default),
-	// "nonoverlap", "compressed", or "gapped" — the names accepted by
-	// repro.ParseSemantics. See the README's "Mining modes" matrix.
-	Semantics string `json:"semantics"`
-	// MinGap and MaxGap bound gaps between consecutive pattern events;
-	// only valid with "gapped" semantics.
-	MinGap int `json:"minGap"`
-	MaxGap int `json:"maxGap"`
-	// CompressDelta is the support tolerance δ of "compressed" semantics;
-	// 0 selects the default (0.1). Only valid with "compressed".
-	CompressDelta float64 `json:"compressDelta"`
 }
 
-// maxWorkers bounds the per-request worker count. Far above any useful
-// parallelism (work stealing saturates at NumCPU), low enough that the
-// eager per-worker allocations stay trivial.
+// maxWorkers bounds the per-request worker count. Per-worker state is
+// allocated eagerly, so an unbounded client-chosen count would be a
+// memory DoS vector; 256 is far above any useful parallelism (work
+// stealing saturates at NumCPU) and keeps those allocations trivial.
 const maxWorkers = 256
 
 // options returns the validated query the request spells. Every error
@@ -61,24 +33,7 @@ func (q *mineRequest) options() (repro.Options, error) {
 	if q.Workers > maxWorkers {
 		return repro.Options{}, fmt.Errorf("%w: workers must be <= %d, got %d", repro.ErrInvalidOptions, maxWorkers, q.Workers)
 	}
-	sem, err := repro.ParseSemantics(q.Semantics)
-	if err != nil {
-		return repro.Options{}, err
-	}
-	opt := repro.Options{
-		MinSupport:       q.MinSupport,
-		Closed:           q.Closed,
-		TopK:             q.TopK,
-		MaxPatternLength: q.MaxPatternLength,
-		MaxPatterns:      q.MaxPatterns,
-		CollectInstances: q.Instances,
-		Workers:          q.Workers,
-		Semantics:        sem,
-		MinGap:           q.MinGap,
-		MaxGap:           q.MaxGap,
-		CompressDelta:    q.CompressDelta,
-	}
-	return opt, opt.Validate()
+	return q.Options, q.Options.Validate()
 }
 
 // cacheKey is the result-cache key of query opt against one snapshot:

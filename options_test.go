@@ -131,3 +131,50 @@ func mineConfig(opt repro.Options) cli.MineConfig {
 		CompressDelta: opt.CompressDelta,
 	}
 }
+
+// TestOptionsWireSpelling: Options' JSON tags are the HTTP mine body's
+// field names; semantics travel by name; the run-delivery hooks are not
+// part of the wire form.
+func TestOptionsWireSpelling(t *testing.T) {
+	var opt repro.Options
+	body := `{"minSupport":3,"closed":false,"topK":0,"maxPatternLength":4,"maxPatterns":9,"instances":false,
+		"workers":2,"semantics":"gapped","minGap":1,"maxGap":2,"compressDelta":0,"discardPatterns":true}`
+	if err := json.Unmarshal([]byte(body), &opt); err != nil {
+		t.Fatal(err)
+	}
+	want := repro.Options{MinSupport: 3, MaxPatternLength: 4, MaxPatterns: 9, Workers: 2,
+		Semantics: repro.SemanticsGapped, MinGap: 1, MaxGap: 2}
+	if opt.Canonical() != want.Canonical() || opt.Workers != 2 || opt.DiscardPatterns {
+		t.Errorf("decoded %+v, want %+v", opt, want)
+	}
+	out, err := json.Marshal(repro.Options{MinSupport: 2, Semantics: repro.SemanticsCompressed, CollectInstances: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"semantics":"compressed"`, `"instances":true`, `"minSupport":2`} {
+		if !strings.Contains(string(out), field) {
+			t.Errorf("encoded %s lacks %s", out, field)
+		}
+	}
+	if strings.Contains(string(out), "Ctx") || strings.Contains(string(out), "OnPattern") || strings.Contains(string(out), "iscard") {
+		t.Errorf("run-delivery hooks leaked into the wire form: %s", out)
+	}
+	for _, bad := range []string{`{"semantics":"bogus"}`, `{"semantics":3}`} {
+		if err := json.Unmarshal([]byte(bad), &opt); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"semantics":"bogus"}`), &opt); !errors.Is(err, repro.ErrUnknownSemantics) {
+		t.Errorf("unknown name: %v, want ErrUnknownSemantics", err)
+	}
+	if _, err := json.Marshal(repro.Options{Semantics: repro.Semantics(9)}); !errors.Is(err, repro.ErrUnknownSemantics) {
+		t.Errorf("encoding an unknown semantics: %v, want ErrUnknownSemantics", err)
+	}
+	for _, s := range []repro.Semantics{repro.SemanticsRepetitive, repro.SemanticsNonOverlapping, repro.SemanticsCompressed, repro.SemanticsGapped} {
+		var back repro.Semantics
+		text, err := s.MarshalText()
+		if err != nil || back.UnmarshalText(text) != nil || back != s {
+			t.Errorf("%v: text round trip gave %v (%v)", s, back, err)
+		}
+	}
+}

@@ -269,36 +269,38 @@ type Stats struct {
 	AvgLength      float64 `json:"avgLength"`
 }
 
-// Options is one mining query. The library, the gsgrow CLI and the HTTP
-// service all express a mining run as this value: Validate holds every
-// rule on it, Canonical is its result-cache key and Algorithm names what
-// it runs. The zero value of every field but MinSupport (or TopK) selects
-// the default.
+// Options is one mining query. The library, the gsgrow CLI, the HTTP
+// service and the experiment runner all express a mining run as this
+// value: Validate holds every rule on it, Canonical is its result-cache
+// key and Algorithm names what it runs. Its JSON tags are the wire
+// spelling of the HTTP mine body and of the experiment spec's queries;
+// the run-delivery hooks (Ctx, OnPattern, DiscardPatterns) have none. The
+// zero value of every field but MinSupport (or TopK) selects the default.
 type Options struct {
 	// MinSupport is the repetitive-support threshold (>= 1). Ignored when
 	// TopK is set.
-	MinSupport int
+	MinSupport int `json:"minSupport"`
 	// Closed mines only closed patterns: those with no super-pattern of
 	// equal support (the paper's CloGSgrow, or the closed top-k). Closure
 	// is defined under SemanticsRepetitive and SemanticsCompressed, which
 	// searches the closed set whether or not Closed is set.
-	Closed bool
+	Closed bool `json:"closed"`
 	// TopK >= 1 mines the K highest-support patterns by best-first search
 	// instead of thresholding: patterns come back in non-increasing
 	// support order, ties broken lexicographically, and MinSupport is
 	// ignored. Top-k runs under SemanticsRepetitive only and rejects
 	// MaxPatterns (k already bounds the result) and CollectInstances.
 	// Intended for exploration; on dense data prefer a threshold.
-	TopK int
+	TopK int `json:"topK"`
 	// MaxPatternLength bounds pattern length; 0 = unbounded.
-	MaxPatternLength int
+	MaxPatternLength int `json:"maxPatternLength"`
 	// MaxPatterns stops the run after that many patterns (0 = unbounded);
 	// Result.Truncated reports whether the cap was hit. The cap is
 	// deterministic at every worker count: the returned patterns are
 	// exactly the first MaxPatterns of the sequential emission order.
-	MaxPatterns int
+	MaxPatterns int `json:"maxPatterns"`
 	// CollectInstances attaches each pattern's leftmost support set.
-	CollectInstances bool
+	CollectInstances bool `json:"instances"`
 	// Workers > 1 fans the mining DFS out over that many goroutines,
 	// scheduled by work stealing: idle workers take untaken branches from
 	// busy workers' subtrees, so deep skewed search spaces parallelize,
@@ -309,7 +311,7 @@ type Options struct {
 	// worker count or steal timing. More workers than cores, or tiny
 	// databases whose whole mine takes microseconds, only add scheduling
 	// overhead; see the package documentation for guidance.
-	Workers int
+	Workers int `json:"workers"`
 	// Ctx, when non-nil, cancels the run: mining polls the context
 	// periodically and, once it is done, stops and returns the patterns
 	// found so far with Result.Truncated set (no error). Use it to bound
@@ -317,7 +319,7 @@ type Options struct {
 	// sequential top-k run still returns true top patterns; a cancelled
 	// parallel one returns its best candidates so far without that
 	// guarantee.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 	// OnPattern, when non-nil, streams every pattern as it is emitted
 	// (serialized across workers, in the order workers find them).
 	// Returning false stops the run with Result.Truncated set. Two runs
@@ -326,25 +328,26 @@ type Options struct {
 	// top-k search (ranked), and a run with Workers > 1 under MaxPatterns
 	// (the budget keeps the first MaxPatterns of the sequential order,
 	// which the parallel search knows only after its merge).
-	OnPattern func(Pattern) bool
+	OnPattern func(Pattern) bool `json:"-"`
 	// DiscardPatterns suppresses accumulation in Result.Patterns — use with
 	// OnPattern when streaming huge results to keep memory flat.
-	DiscardPatterns bool
+	DiscardPatterns bool `json:"-"`
 	// Semantics selects the occurrence semantics of the run; the zero
 	// value is SemanticsRepetitive, the paper's definition. See the
 	// Semantics constants for the modes and their papers.
-	Semantics Semantics
+	Semantics Semantics `json:"semantics"`
 	// MinGap and MaxGap bound the number of events strictly between
 	// consecutive pattern events under SemanticsGapped
 	// (0 <= MinGap <= MaxGap; both 0 mines contiguous substrings).
 	// Setting either with any other semantics is an error.
-	MinGap, MaxGap int
+	MinGap int `json:"minGap"`
+	MaxGap int `json:"maxGap"`
 	// CompressDelta is the support tolerance δ of SemanticsCompressed, in
 	// [0, 1): a representative R covers a closed pattern P when P is a
 	// subsequence of R and sup(R) >= (1-δ)·sup(P). 0 selects
 	// DefaultCompressDelta. Setting it with any other semantics is an
 	// error.
-	CompressDelta float64
+	CompressDelta float64 `json:"compressDelta"`
 }
 
 // Instance is one occurrence of a pattern: the sequence it lives in and

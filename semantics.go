@@ -60,6 +60,23 @@ func (s Semantics) String() string {
 
 func (s Semantics) known() bool { return s >= 0 && int(s) < len(semanticsNames) }
 
+// MarshalText encodes the semantics as its wire name, the "semantics"
+// field of an HTTP mine body or an experiment spec query. A value outside
+// the known modes is an error wrapping ErrUnknownSemantics.
+func (s Semantics) MarshalText() ([]byte, error) {
+	if !s.known() {
+		return nil, fmt.Errorf("repro: %w %s", ErrUnknownSemantics, s)
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText reads a wire name, as ParseSemantics does: the empty name
+// is SemanticsRepetitive and an unknown one wraps ErrUnknownSemantics.
+func (s *Semantics) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseSemantics(string(text))
+	return err
+}
+
 // ParseSemantics maps a wire/flag name to a Semantics. The empty string
 // selects the default (SemanticsRepetitive); unknown names return an
 // error wrapping ErrUnknownSemantics.
