@@ -145,7 +145,9 @@
 // batches. Snapshots recovered from disk rebuild their indexes lazily
 // on first use, exactly like freshly loaded databases, and
 // Database.Persistence reports the recovery state (checkpointed
-// generation, WAL size, sync policy) for monitoring.
+// generation, WAL size, sync policy) for monitoring. The directory's
+// layout — file names, the WAL chain rule, what a checkpoint sweeps and
+// what Open reads — is described under "Storage layout" in README.md.
 //
 // Under SyncAlways, concurrent Appends are group-committed: records
 // arriving within one commit window are packed into a single

@@ -12,6 +12,7 @@ import (
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // replicationReport is the replication block of an inspect report: the
@@ -43,7 +44,7 @@ type inspectReport struct {
 // never fails: a directory without markers is simply a primary with no
 // recorded epoch.
 func replicationInfo(dir string) *replicationReport {
-	if m, err := repl.ReadMeta(nil, dir); err == nil {
+	if m, err := repl.ReadMeta(vfs.OS, dir); err == nil {
 		return &replicationReport{
 			Role:     repro.RoleFollower,
 			Upstream: m.Upstream,
@@ -72,7 +73,7 @@ func replicationInfo(dir string) *replicationReport {
 // rot detected" to be the exit code, not a string to grep out of a
 // healthy-looking report.
 func Inspect(dir string, asJSON bool, out io.Writer) error {
-	rep, err := store.Inspect(dir)
+	rep, err := store.Inspect(vfs.OS, dir)
 	if err != nil {
 		return err
 	}

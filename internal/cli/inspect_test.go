@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/repl"
+	"repro/internal/vfs"
 )
 
 // buildDurableDB populates a durable database directory: 3 appends on
@@ -169,7 +170,7 @@ func TestCompactTruncatesWAL(t *testing.T) {
 func TestPromoteAndInspectReplication(t *testing.T) {
 	dir := buildDurableDB(t)
 	meta := repl.Meta{Upstream: "http://primary:8372", Database: "events", Epoch: "abc123"}
-	if err := repl.WriteMeta(nil, dir, meta); err != nil {
+	if err := repl.WriteMeta(vfs.OS, dir, meta); err != nil {
 		t.Fatal(err)
 	}
 

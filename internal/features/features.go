@@ -25,10 +25,12 @@ type Matrix struct {
 // Extract mines (closed) frequent patterns from db and returns their
 // per-sequence supports as a feature matrix. The per-sequence support of P
 // in Si is the maximum number of non-overlapping instances of P inside Si,
-// which is exactly the size of the leftmost support set's slice in Si.
+// which is exactly the size of the leftmost support set's slice in Si —
+// so each row is counted from the instances the miner emits with the
+// pattern.
 func Extract(db *seq.DB, minSup int, closed bool) (*Matrix, error) {
 	ix := seq.NewIndex(db)
-	res, err := core.Mine(ix, core.Options{MinSupport: minSup, Closed: closed})
+	res, err := core.MineParallel(ix, core.Options{MinSupport: minSup, Closed: closed, CollectInstances: true}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -36,8 +38,7 @@ func Extract(db *seq.DB, minSup int, closed bool) (*Matrix, error) {
 	for _, p := range res.Patterns {
 		m.Patterns = append(m.Patterns, p.Events)
 		row := make([]float64, db.NumSequences())
-		I := core.ComputeSupportSet(ix, p.Events)
-		for _, inst := range I {
+		for _, inst := range p.Instances {
 			row[inst.Seq]++
 		}
 		m.Values = append(m.Values, row)

@@ -162,14 +162,7 @@ func encodeTestBatch(t *testing.T, records []store.Record) []byte {
 	if _, err := st.Append(records, true); err != nil {
 		t.Fatal(err)
 	}
-	path, _, _, ok, err := store.ChainWALFile(vfs.OS, dir, 2)
-	if err != nil || !ok {
-		t.Fatalf("chain file: ok=%v err=%v", ok, err)
-	}
-	r, err := wal.OpenReader(vfs.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := store.NewChainReader(vfs.OS, dir, 2)
 	defer r.Close()
 	payload, ok, err := r.Next()
 	if err != nil || !ok {

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // Source is the primary-side view of one replicated database the feed
@@ -56,38 +56,24 @@ const (
 	DefaultHeartbeat = time.Second
 )
 
-func (f *Feed) fs() vfs.FS {
-	if f.FS != nil {
-		return f.FS
-	}
-	return vfs.OS
-}
-
 // ServeSegment serves the newest checkpoint segment, forcing a checkpoint
 // when none exists yet. The raw segment bytes go over the wire — they
 // carry their own CRC, which the follower re-validates before installing.
 // The response headers carry the epoch and the segment's generation.
 func (f *Feed) ServeSegment(w http.ResponseWriter, r *http.Request) {
-	fsys := f.fs()
 	// A checkpoint on another goroutine can sweep the segment between
 	// listing and reading; retry a couple of times before giving up.
 	for attempt := 0; ; attempt++ {
-		path, gen, ok, err := store.NewestSegment(fsys, f.Src.Dir())
+		data, gen, ok, err := store.LatestSegment(vfs.Or(f.FS), f.Src.Dir())
 		if err == nil && !ok {
 			err = f.Src.Checkpoint()
 			if err == nil {
 				continue
 			}
+		} else if err != nil && attempt < 3 {
+			continue
 		}
 		if err != nil {
-			http.Error(w, fmt.Sprintf("replication: segment: %v", err), http.StatusInternalServerError)
-			return
-		}
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			if attempt < 3 {
-				continue
-			}
 			http.Error(w, fmt.Sprintf("replication: segment: %v", err), http.StatusInternalServerError)
 			return
 		}
@@ -173,14 +159,8 @@ func (f *Feed) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	hbT := time.NewTicker(hb)
 	defer hbT.Stop()
 
-	fsys := f.fs()
-	var rd *wal.Reader
-	var rdBase uint64
-	defer func() {
-		if rd != nil {
-			rd.Close()
-		}
-	}()
+	chain := store.NewChainReader(vfs.Or(f.FS), f.Src.Dir(), applied+1)
+	defer chain.Close()
 	ctx := r.Context()
 	for {
 		// The lineage can change under a live stream (the database is
@@ -190,66 +170,30 @@ func (f *Feed) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			rebootstrap()
 			return
 		}
-		// Stream everything acknowledged and not yet sent. diverged means
-		// the position cannot be located in the retained chain.
-		sent, diverged, err := func() (bool, bool, error) {
-			sent := false
-			for cur := f.Src.Generation(); applied < cur; {
-				if rd == nil {
-					path, b, skip, ok, err := store.ChainWALFile(fsys, f.Src.Dir(), applied+1)
-					if err != nil || !ok {
-						return sent, !ok, err
-					}
-					nr, err := wal.OpenReader(fsys, path)
-					if err != nil {
-						// A checkpoint can sweep the file between the listing
-						// and the open; the next pass re-resolves.
-						return sent, false, nil
-					}
-					if err := nr.Skip(skip); err != nil {
-						// The chain file does not hold the records the name
-						// promised: local truncation or damage. Safe answer
-						// is a fresh bootstrap.
-						nr.Close()
-						return sent, true, nil
-					}
-					rd, rdBase = nr, b
-				}
-				p, ok, err := rd.Next()
-				if err != nil {
-					return sent, false, err
-				}
-				if !ok {
-					// End of this chain file while records remain: either the
-					// log rotated (resolve the next file) or the frame is not
-					// yet visible to this handle (retry next poll).
-					path, b, _, okc, err := store.ChainWALFile(fsys, f.Src.Dir(), applied+1)
-					if err != nil || !okc {
-						return sent, !okc, err
-					}
-					if b == rdBase && path == rd.Path() {
-						return sent, false, nil
-					}
-					rd.Close()
-					rd = nil
-					continue
-				}
-				applied++
-				if !send(FrameRecord, applied, cur, p) {
-					return sent, false, fmt.Errorf("repl: client gone")
-				}
-				sent = true
+		// Stream everything acknowledged and not yet sent. A record not
+		// yet visible is retried at the next poll.
+		sent := false
+		for cur := f.Src.Generation(); applied < cur; {
+			p, ok, err := chain.Next()
+			if errors.Is(err, store.ErrChainGap) {
+				// The retained chain cannot serve the position (swept by a
+				// checkpoint, or broken): the follower must re-bootstrap.
+				rebootstrap()
+				return
 			}
-			return sent, false, nil
-		}()
-		if diverged {
-			rebootstrap()
-			return
-		}
-		if err != nil {
-			// I/O trouble on the primary or a dead client: drop the stream;
-			// the follower reconnects and resumes.
-			return
+			if err != nil {
+				// I/O trouble on the primary: drop the stream; the follower
+				// reconnects and resumes.
+				return
+			}
+			if !ok {
+				break
+			}
+			applied++
+			if !send(FrameRecord, applied, cur, p) {
+				return // client gone
+			}
+			sent = true
 		}
 		if sent {
 			flusher.Flush()
@@ -258,7 +202,9 @@ func (f *Feed) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			return
 		case <-hbT.C:
-			pending, err := f.pendingBytes(applied, rd, rdBase)
+			// Heartbeats carry the chain bytes beyond the sent position so
+			// a follower can report byte lag without knowing the layout.
+			pending, err := chain.Pending()
 			if err != nil {
 				pending = 0
 			}
@@ -269,38 +215,4 @@ func (f *Feed) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		case <-pollT.C:
 		}
 	}
-}
-
-// pendingBytes estimates how many chain bytes exist beyond the sent
-// position: the unread remainder of the current chain file plus every
-// later chain file in full. Heartbeats carry it so a follower can report
-// byte lag without knowing the primary's file layout.
-func (f *Feed) pendingBytes(applied uint64, rd *wal.Reader, rdBase uint64) (uint64, error) {
-	fsys := f.fs()
-	entries, err := fsys.ReadDir(f.Src.Dir())
-	if err != nil {
-		return 0, err
-	}
-	var pending uint64
-	for _, e := range entries {
-		b, ok := store.ParseWALFileName(e.Name())
-		if !ok {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		switch {
-		case rd != nil && b == rdBase:
-			if info.Size() > rd.Offset() {
-				pending += uint64(info.Size() - rd.Offset())
-			}
-		case b >= applied:
-			// Every record in this file produces a generation beyond the
-			// sent position.
-			pending += uint64(info.Size())
-		}
-	}
-	return pending, nil
 }

@@ -124,10 +124,7 @@ func New(cfg Config) (*Follower, error) {
 	if f.client == nil {
 		f.client = &http.Client{}
 	}
-	f.fsys = cfg.Store.FS
-	if f.fsys == nil {
-		f.fsys = vfs.OS
-	}
+	f.fsys = vfs.Or(cfg.Store.FS)
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	return f, nil
 }
@@ -202,17 +199,11 @@ func (f *Follower) bootstrap(ctx context.Context) (*store.Store, error) {
 	}
 	epoch := resp.Header.Get("X-Replication-Epoch")
 
-	if err := f.fsys.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	// Discard whatever state was here — it is either absent or proven
-	// divergent — then install the validated segment and mark the
-	// directory as a replica BEFORE the store opens it, so a crash
-	// between these steps still reads as a replica.
-	if err := store.RemoveStorageFiles(f.fsys, f.cfg.Dir); err != nil {
-		return nil, fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	gen, err := store.InstallSegmentBytes(f.fsys, f.cfg.Dir, data)
+	// Replace whatever state was here — it is either absent or proven
+	// divergent — with the validated segment, and mark the directory as a
+	// replica BEFORE the store opens it, so a crash between these steps
+	// still reads as a replica.
+	gen, err := store.ResetFromSegment(f.fsys, f.cfg.Dir, data)
 	if err != nil {
 		return nil, fmt.Errorf("repl: bootstrap: %w", err)
 	}

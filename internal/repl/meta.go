@@ -33,9 +33,6 @@ type Meta struct {
 // ReadMeta loads the replica marker of dir. A directory that is not a
 // replica returns an error wrapping fs.ErrNotExist.
 func ReadMeta(fsys vfs.FS, dir string) (Meta, error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
 	data, err := fsys.ReadFile(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return Meta{}, err
@@ -57,9 +54,6 @@ func HasMeta(fsys vfs.FS, dir string) bool {
 // rename + directory fsync, so the marker either exists complete or not
 // at all.
 func WriteMeta(fsys vfs.FS, dir string, m Meta) error {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
@@ -73,9 +67,6 @@ func WriteMeta(fsys vfs.FS, dir string, m Meta) error {
 // RemoveMeta durably removes the replica marker, switching the
 // directory's on-disk identity to primary.
 func RemoveMeta(fsys vfs.FS, dir string) error {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
 	if err := fsys.Remove(filepath.Join(dir, MetaFile)); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil
@@ -92,10 +83,7 @@ func RemoveMeta(fsys vfs.FS, dir string) error {
 // the replica marker last, so a crash mid-promotion leaves the directory
 // still a replica. Returns the generation the promoted store serves.
 func PromoteDir(dir string, opt store.Options) (gen uint64, err error) {
-	fsys := opt.FS
-	if fsys == nil {
-		fsys = vfs.OS
-	}
+	fsys := vfs.Or(opt.FS)
 	if _, err := ReadMeta(fsys, dir); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, fmt.Errorf("repl: %s is not a replica directory (no %s)", dir, MetaFile)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/seq"
 	"repro/internal/store"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -209,13 +210,7 @@ func TestFollowerRebootstrapsOnEpochChange(t *testing.T) {
 	if err := p.st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := vfs.OS.MkdirAll(pdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.RemoveStorageFiles(vfs.OS, pdir); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := store.Open(pdir, store.Options{SyncPolicy: wal.SyncNever})
+	st2, err := store.Create(pdir, seq.NewDB(), store.Options{SyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"time"
@@ -228,23 +229,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	batch := make([]repro.Record, 0, appendChunkSize)
 	// flush applies one chunk; on a durable host a WAL write failure means
 	// the chunk was neither applied nor acknowledged — report it with the
-	// exact count of records that did make it in. A degraded database
-	// answers 503 + Retry-After instead of 500: the rejection is fast
-	// (no I/O), temporary, and the background prober is already working
-	// on restoring writability.
+	// exact count of records that did make it in, under the status the
+	// error taxonomy assigns (a degraded database: 503 + Retry-After; a
+	// database that became a replica mid-stream: 409).
 	flush := func() error {
 		if len(batch) > 0 {
 			if _, err := e.db.Append(batch); err != nil {
-				status := http.StatusInternalServerError
-				if errors.Is(err, repro.ErrDegraded) {
-					status = http.StatusServiceUnavailable
-					setRetryHint(w, status)
-				} else if errors.Is(err, repro.ErrNotPrimary) {
-					// The database became a replica mid-stream (or the gate
-					// raced a reconfiguration): same answer as the up-front
-					// rejection.
-					status = http.StatusConflict
-				}
+				status := statusFor(err)
+				setRetryHint(w, status)
 				writeJSON(w, status, appendErrorResponse{
 					Error:            fmt.Sprintf("append not durable after record %d: %v", applied, err),
 					AppliedRecords:   applied,
@@ -355,6 +347,59 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // their own (much larger) cap.
 const maxRequestBody = 1 << 20
 
+// decodeRequest decodes the JSON body of a /mine or /support request into
+// v, answering 400 and reporting false when it is malformed. An empty
+// body decodes to v's zero value when emptyOK. The decoder's own text for
+// a syntax or type error names Go types and struct fields; the answer
+// names the byte offset, or the JSON field and the JSON type it needs. An
+// unknown semantics name fails inside the decoder (Semantics parses
+// itself) and answers like every other query error.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil || (emptyOK && err == io.EOF) {
+		return true
+	}
+	var syntaxErr *json.SyntaxError
+	var typeErr *json.UnmarshalTypeError
+	switch {
+	case errors.Is(err, repro.ErrUnknownSemantics):
+		writeErrorFor(w, err)
+		return false
+	case errors.As(err, &syntaxErr):
+		err = fmt.Errorf("malformed JSON at byte %d", syntaxErr.Offset)
+	case errors.As(err, &typeErr):
+		what := "body"
+		if f := typeErr.Field; f != "" {
+			// The path's last element is the JSON key; earlier ones can
+			// name embedded Go structs.
+			what = fmt.Sprintf("field %q", f[strings.LastIndexByte(f, '.')+1:])
+		}
+		err = fmt.Errorf("%s must be a JSON %s", what, jsonType(typeErr.Type))
+	}
+	writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	return false
+}
+
+// jsonType names the JSON type a Go type decodes from.
+func jsonType(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Bool:
+		return "boolean"
+	case reflect.String:
+		return "string"
+	case reflect.Slice, reflect.Array:
+		return "array"
+	case reflect.Map, reflect.Struct:
+		return "object"
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return "number"
+	default:
+		return "value"
+	}
+}
+
 func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.get(r.PathValue("name"))
 	if !ok {
@@ -362,8 +407,7 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q supportRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&q); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeRequest(w, r, &q, false) {
 		return
 	}
 	if len(q.Pattern) == 0 {
@@ -395,14 +439,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q mineRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&q); err != nil && err != io.EOF {
-		// An unknown semantics name fails inside the decoder (Semantics
-		// parses itself); it answers like every other query error.
-		if errors.Is(err, repro.ErrUnknownSemantics) {
-			writeErrorFor(w, err)
-		} else {
-			writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		}
+	if !decodeRequest(w, r, &q, true) {
 		return
 	}
 	opt, err := q.options()

@@ -177,3 +177,29 @@ func TestErrorStatusTaxonomy(t *testing.T) {
 		t.Errorf("unknown semantics body:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestDecodeErrorsNameJSONTypes: a malformed /mine or /support body
+// answers 400 with text built from the JSON field and the JSON type it
+// needs, never the decoder's Go type and struct-field names.
+func TestDecodeErrorsNameJSONTypes(t *testing.T) {
+	h := newHandler(t)
+	upload(t, h, "ex11", "chars", example11)
+	cases := []struct{ path, body, want string }{
+		{"mine", `{"closed":"yes"}`, `decode request: field \"closed\" must be a JSON boolean`},
+		{"mine", `{"minSupport":"2"}`, `decode request: field \"minSupport\" must be a JSON number`},
+		{"mine", `{"stream":1}`, `decode request: field \"stream\" must be a JSON boolean`},
+		{"mine", `[1]`, `decode request: body must be a JSON object`},
+		{"mine", `{"closed":tru}`, `decode request: malformed JSON at byte 14`},
+		{"support", `{"pattern":"A"}`, `decode request: field \"pattern\" must be a JSON array`},
+		{"support", `{"pattern":["A"],"perSequence":"no"}`, `decode request: field \"perSequence\" must be a JSON boolean`},
+	}
+	for _, c := range cases {
+		rec := doJSON(t, h, "POST", "/v1/databases/ex11/"+c.path, c.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, c.body, rec.Code)
+		}
+		if got, want := strings.TrimSpace(rec.Body.String()), `{"error":"`+c.want+`"}`; got != want {
+			t.Errorf("%s %s:\n got %s\nwant %s", c.path, c.body, got, want)
+		}
+	}
+}

@@ -251,12 +251,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // fsys is the filesystem durable state is read through (the injected
 // fault-injection FS, or the OS).
-func (s *Server) fsys() vfs.FS {
-	if s.openOpts.FS != nil {
-		return s.openOpts.FS
-	}
-	return vfs.OS
-}
+func (s *Server) fsys() vfs.FS { return vfs.Or(s.openOpts.FS) }
 
 // What the boot walk does with one directory of the data dir.
 const (

@@ -164,7 +164,7 @@ func (st *Store) healLocked() bool {
 	path := d.wal.Path()
 	d.absorbCommitStats() // the handle is being replaced; keep its totals
 	_ = d.wal.Close()     // already poisoned; the sticky error is expected
-	nw, err := wal.Open(path, d.walOpt)
+	nw, err := wal.Open(path, d.walOpt, nil)
 	if err != nil {
 		return false
 	}

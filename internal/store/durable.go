@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,10 +13,8 @@ import (
 )
 
 // Durable operation: a store opened with Open (or Create) is backed by a
-// directory holding at most a handful of files —
-//
-//	segment-<gen>.seg   immutable checkpoint: the database at <gen>
-//	wal-<base>.log      write-ahead tail: append batches on top of <base>
+// directory holding at most a handful of checkpoint segments and WAL
+// files (their names and the chain rule are in layout.go).
 //
 // Every Append encodes its batch and writes it to the WAL (fsynced per
 // the configured policy) BEFORE the in-memory snapshot is published, so
@@ -40,27 +35,6 @@ import (
 // DefaultCheckpointWALBytes is the WAL size that triggers an automatic
 // checkpoint when Options.CheckpointWALBytes is zero.
 const DefaultCheckpointWALBytes = 4 << 20
-
-// walFileName returns the WAL file name for a log based at gen.
-func walFileName(base uint64) string {
-	return fmt.Sprintf("wal-%016x.log", base)
-}
-
-// parseWALName extracts the base generation from a WAL file name.
-func parseWALName(name string) (base uint64, ok bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	if len(hex) != 16 {
-		return 0, false
-	}
-	base, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return base, true
-}
 
 // durableState is the persistence arm of a Store. All fields are guarded
 // by the Store's mu.
@@ -130,21 +104,15 @@ func (o Options) effectiveCheckpointBytes() int64 {
 // tail. Already-built indexes are NOT recovered — loaded snapshots
 // rebuild them lazily on first use, exactly like a fresh FromDB store.
 func Open(dir string, opt Options) (*Store, error) {
-	fsys := opt.fs()
+	fsys := vfs.Or(opt.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	st, liveBase, err := recoverDir(dir, opt)
+	l, err := listDir(fsys, dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	w, err := wal.Open(filepath.Join(dir, walFileName(liveBase)), opt.walOptions())
-	if err != nil {
-		return nil, err
-	}
-	st.dur.wal = w
-	st.dur.walBase = liveBase
-	return st, nil
+	return recoverDir(dir, l, opt, true)
 }
 
 // Create initializes a durable store in dir seeded with db as generation
@@ -152,48 +120,17 @@ func Open(dir string, opt Options) (*Store, error) {
 // The seed is checkpointed to a segment immediately, so the database is
 // durable the moment Create returns. The store takes ownership of db.
 //
-// Failure ordering protects the previous database: the new seed segment
-// is fully written and fsynced (under a temp name recovery ignores)
-// BEFORE any old file is touched, so an encoding or disk-space failure
-// leaves the old store exactly as it was. Only then are the old files
-// swept and the new segment installed — a window containing nothing but
-// unlink/rename metadata operations. The caller must ensure no live
-// store is still writing to dir (a concurrent owner's checkpoint could
-// interleave with the sweep).
+// Failure ordering protects the previous database: resetDir writes and
+// fsyncs the new seed segment before any old file is touched, so an
+// encoding or disk-space failure leaves the old store exactly as it was.
+// The caller must ensure no live store is still writing to dir (a
+// concurrent owner's checkpoint could interleave with the sweep).
 func Create(dir string, db *seq.DB, opt Options) (*Store, error) {
-	fsys := opt.fs()
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	fsys := vfs.Or(opt.FS)
+	if err := resetDir(fsys, dir, 1, encodeSegment(1, db)); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
-	tmpSeg, err := writeSegmentTemp(fsys, dir, 1, encodeSegment(1, db))
-	if err != nil {
-		return nil, err
-	}
-	// Sweep every previous storage file: this dir now means the new
-	// database. Anything unrecognized (and our own temp) is left alone.
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		fsys.Remove(tmpSeg)
-		return nil, fmt.Errorf("store: create %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Join(dir, name) == tmpSeg {
-			continue
-		}
-		_, isSeg := parseSegmentName(name)
-		_, isWAL := parseWALName(name)
-		if isSeg || isWAL || strings.Contains(name, segmentSuffix+".tmp") {
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				fsys.Remove(tmpSeg)
-				return nil, fmt.Errorf("store: create %s: sweep %s: %w", dir, name, err)
-			}
-		}
-	}
-	if err := installSegment(fsys, tmpSeg, dir, 1); err != nil {
-		return nil, err
-	}
-	w, err := wal.Open(filepath.Join(dir, walFileName(1)), opt.walOptions())
+	w, err := wal.Open(filepath.Join(dir, walFileName(1)), opt.walOptions(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +151,7 @@ func Create(dir string, db *seq.DB, opt Options) (*Store, error) {
 func newDurableState(st *Store, dir string, opt Options) *durableState {
 	return &durableState{
 		dir:             dir,
-		fsys:            opt.fs(),
+		fsys:            vfs.Or(opt.FS),
 		walOpt:          opt.walOptions(),
 		checkpointBytes: opt.effectiveCheckpointBytes(),
 		probeBackoff:    opt.ProbeBackoff,
@@ -223,25 +160,14 @@ func newDurableState(st *Store, dir string, opt Options) *durableState {
 	}
 }
 
-// recoverDir rebuilds the in-memory store from dir's files and reports
-// which WAL file new appends continue into. The returned store has dur
-// set except for the live WAL handle, which the caller opens.
-func recoverDir(dir string, opt Options) (st *Store, liveBase uint64, err error) {
-	fsys := opt.fs()
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	var segGens, walBases []uint64
-	for _, e := range entries {
-		if gen, ok := parseSegmentName(e.Name()); ok {
-			segGens = append(segGens, gen)
-		}
-		if base, ok := parseWALName(e.Name()); ok {
-			walBases = append(walBases, base)
-		}
-	}
-
+// recoverDir rebuilds the in-memory store from the listing l of dir:
+// the newest segment that loads, with the WAL chain replayed on top.
+// With live set it also opens the WAL new appends continue into — the
+// last chain file — and Open replays that file through the handle it
+// keeps, so the live WAL is read once. Without live it only reads
+// (Inspect's dry run) and leaves st.dur.wal nil.
+func recoverDir(dir string, l *listing, opt Options, live bool) (*Store, error) {
+	fsys := vfs.Or(opt.FS)
 	// Base state: the newest segment that loads cleanly. Segments are
 	// written atomically, so a corrupt one means external damage; fall
 	// back to an older checkpoint when one exists rather than refusing to
@@ -250,8 +176,8 @@ func recoverDir(dir string, opt Options) (st *Store, liveBase uint64, err error)
 	db := seq.NewDB()
 	var baseGen, segGen uint64 = 1, 0
 	var segErrs []error
-	sort.Slice(segGens, func(a, b int) bool { return segGens[a] > segGens[b] })
-	for _, gen := range segGens {
+	for i := len(l.segments) - 1; i >= 0; i-- {
+		gen := l.segments[i].gen
 		g, loaded, err := readSegment(fsys, filepath.Join(dir, segmentFileName(gen)))
 		if err != nil {
 			segErrs = append(segErrs, err)
@@ -264,60 +190,61 @@ func recoverDir(dir string, opt Options) (st *Store, liveBase uint64, err error)
 		db, baseGen, segGen = loaded, gen, gen
 		break
 	}
-	if segGen == 0 && len(segGens) > 0 {
-		return nil, 0, fmt.Errorf("store: open %s: no loadable checkpoint segment: %w", dir, errors.Join(segErrs...))
+	if segGen == 0 && len(l.segments) > 0 {
+		return nil, fmt.Errorf("store: open %s: no loadable checkpoint segment: %w", dir, errors.Join(segErrs...))
 	}
 
-	st = seedStore(db, opt, baseGen)
+	st := seedStore(db, opt, baseGen)
 	st.dur = newDurableState(st, dir, opt)
 	st.dur.segGen = segGen
-
-	// Replay the WAL chain: files based at or after the checkpoint, in
-	// base order, each expected to start exactly at the generation the
-	// previous one reached. Bases below the checkpoint are stale remains
-	// of an interrupted compaction — already folded into the segment —
-	// and are swept by the next checkpoint.
-	sort.Slice(walBases, func(a, b int) bool { return walBases[a] < walBases[b] })
-	liveBase = baseGen
-	cur := baseGen
-	for _, base := range walBases {
-		if base < baseGen {
-			continue
+	apply := func(payload []byte) error {
+		records, upsert, err := decodeBatch(payload)
+		if err != nil {
+			return err
 		}
-		if base != cur {
-			// A WAL based beyond the recovered generation. One legitimate
-			// shape exists: a crash inside the checkpoint rotation window
-			// under a weak fsync policy — the new (rotated) WAL file was
-			// created durably while the old WAL's unsynced tail died with
-			// the page cache, so replay stops short of the rotation point.
-			// The rotated WAL is then necessarily EMPTY (appends only
-			// resume after the checkpoint completes, and the mutex is held
-			// throughout), and the missing tail is exactly the bounded
-			// loss the policy contract allows. Skip it; the next
-			// checkpoint sweeps it. A NON-empty out-of-chain WAL cannot
-			// arise from any crash ordering — that is real damage, and
-			// booting past it would silently drop acknowledged batches.
-			if n, valid, _, err := wal.ScanFS(fsys, filepath.Join(dir, walFileName(base)), nil); err == nil && n == 0 && valid == 0 {
-				continue
-			}
-			return nil, 0, fmt.Errorf("store: open %s: WAL chain gap: have non-empty %s but recovery reached generation %d", dir, walFileName(base), cur)
+		st.applyLocked(records, upsert)
+		return nil
+	}
+
+	// Replay the WAL chain from the checkpoint: each file must start
+	// exactly at the generation the previous one reached (listing.next).
+	// WALs based below the checkpoint are stale remains of an interrupted
+	// compaction — already folded into the segment — and are swept by the
+	// next checkpoint.
+	liveBase := baseGen
+	var w *wal.Log
+	for after := baseGen - 1; ; {
+		base, ok, err := l.next(fsys, dir, after, st.cur.Load().gen)
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		}
+		if !ok {
+			break
 		}
 		path := filepath.Join(dir, walFileName(base))
-		_, _, _, err := wal.ScanFS(fsys, path, func(payload []byte) error {
-			records, upsert, err := decodeBatch(payload)
-			if err != nil {
-				return err
-			}
-			st.applyLocked(records, upsert)
-			cur++
-			return nil
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: open %s: replay %s: %w", dir, walFileName(base), err)
+		if live && base == l.wals[len(l.wals)-1].gen {
+			w, err = wal.Open(path, opt.walOptions(), apply)
+		} else {
+			_, _, _, err = wal.ScanFS(fsys, path, apply)
 		}
-		liveBase = base
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: replay %s: %w", dir, walFileName(base), err)
+		}
+		after, liveBase = base, base
 	}
-	return st, liveBase, nil
+	if !live {
+		return st, nil
+	}
+	if w == nil {
+		// No WAL yet, or the last one was an empty out-of-chain file:
+		// appends continue into the last chain file (created if needed).
+		var err error
+		if w, err = wal.Open(filepath.Join(dir, walFileName(liveBase)), opt.walOptions(), nil); err != nil {
+			return nil, err
+		}
+	}
+	st.dur.wal, st.dur.walBase = w, liveBase
+	return st, nil
 }
 
 // absorbCommitStats folds the live WAL's commit counters into the
@@ -406,7 +333,7 @@ func (st *Store) checkpointLocked() error {
 	// failed to write the segment, the live WAL is already based at gen —
 	// don't rotate onto ourselves.
 	if d.walBase != gen {
-		nw, err := wal.Open(filepath.Join(d.dir, walFileName(gen)), d.walOpt)
+		nw, err := wal.Open(filepath.Join(d.dir, walFileName(gen)), d.walOpt, nil)
 		if err != nil {
 			d.checkpointErr = err
 			return err
@@ -447,25 +374,8 @@ func (st *Store) checkpointLocked() error {
 	// based before it, and any orphaned segment temp files. Best-effort —
 	// a leftover is re-swept by the next checkpoint and ignored by
 	// recovery.
-	entries, err := d.fsys.ReadDir(d.dir)
-	if err != nil {
-		return nil
-	}
-	for _, e := range entries {
-		name := e.Name()
-		remove := false
-		if g, ok := parseSegmentName(name); ok && g != gen {
-			remove = true
-		}
-		if b, ok := parseWALName(name); ok && b < gen {
-			remove = true
-		}
-		if strings.Contains(name, segmentSuffix+".tmp") {
-			remove = true
-		}
-		if remove {
-			_ = d.fsys.Remove(filepath.Join(d.dir, name))
-		}
+	if l, err := listDir(d.fsys, d.dir); err == nil {
+		_ = l.sweep(d.fsys, d.dir, gen)
 	}
 	return nil
 }

@@ -148,19 +148,11 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 	}
 
 	// Exactly one segment and one WAL file remain.
-	entries, err := os.ReadDir(dir)
+	l, err := listDir(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs, wals int
-	for _, e := range entries {
-		if _, ok := parseSegmentName(e.Name()); ok {
-			segs++
-		}
-		if _, ok := parseWALName(e.Name()); ok {
-			wals++
-		}
-	}
+	segs, wals := len(l.segments), len(l.wals)
 	if segs != 1 || wals != 1 {
 		t.Fatalf("after checkpoint: %d segments, %d WAL files", segs, wals)
 	}
@@ -338,7 +330,7 @@ func TestRecoveryAfterInterruptedCheckpoint(t *testing.T) {
 		// recovery cannot place: no crash ordering produces this, so it
 		// must be reported, never silently dropped.
 		gap := encodeBatch(nil, []Record{{Events: []string{"x"}}}, false)
-		l, err := wal.Open(filepath.Join(dir, walFileName(7)), wal.Options{})
+		l, err := wal.Open(filepath.Join(dir, walFileName(7)), wal.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -72,57 +71,39 @@ func (r *DirReport) Corrupt() bool {
 }
 
 // Inspect reads the storage files of a durable database directory
-// without modifying anything (no truncation, no file creation, no live
-// WAL handle) and reports both the per-file state and the outcome of a
-// dry-run recovery. Safe on a directory a running store is using, though
-// the report is then a racy point-in-time view.
-func Inspect(dir string) (*DirReport, error) {
-	return InspectFS(vfs.OS, dir)
-}
-
-// InspectFS is Inspect through an explicit filesystem, for callers that
-// thread a fault-injecting vfs.FS through the read path.
-func InspectFS(fsys vfs.FS, dir string) (*DirReport, error) {
-	entries, err := fsys.ReadDir(dir)
+// through fsys without modifying anything (no truncation, no file
+// creation, no live WAL handle) and reports both the per-file state and
+// the outcome of a dry-run recovery. Safe on a directory a running store
+// is using, though the report is then a racy point-in-time view.
+func Inspect(fsys vfs.FS, dir string) (*DirReport, error) {
+	l, err := listDir(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: inspect %s: %w", dir, err)
 	}
 	rep := &DirReport{Dir: dir}
-	for _, e := range entries {
-		name := e.Name()
-		fi, err := e.Info()
-		var size int64
-		if err == nil {
-			size = fi.Size()
+	for _, s := range l.segments {
+		info := SegmentFileInfo{Name: segmentFileName(s.gen), Generation: s.gen, Size: s.size}
+		if g, db, err := readSegment(fsys, filepath.Join(dir, info.Name)); err != nil {
+			info.Err = err.Error()
+		} else if g != s.gen {
+			info.Err = fmt.Sprintf("file name says generation %d, header says %d", s.gen, g)
+		} else {
+			info.Sequences = db.NumSequences()
 		}
-		if gen, ok := parseSegmentName(name); ok {
-			info := SegmentFileInfo{Name: name, Generation: gen, Size: size}
-			if g, db, err := readSegment(fsys, filepath.Join(dir, name)); err != nil {
-				info.Err = err.Error()
-			} else if g != gen {
-				info.Err = fmt.Sprintf("file name says generation %d, header says %d", gen, g)
-			} else {
-				info.Sequences = db.NumSequences()
-			}
-			rep.Segments = append(rep.Segments, info)
-		}
-		if base, ok := parseWALName(name); ok {
-			info := WALFileInfo{Name: name, Base: base, Size: size}
-			records, valid, torn, err := wal.ScanFS(fsys, filepath.Join(dir, name), nil)
-			if err != nil {
-				info.Err = err.Error()
-			} else {
-				info.Records, info.ValidBytes, info.Torn = records, valid, torn
-			}
-			rep.WALs = append(rep.WALs, info)
-		}
+		rep.Segments = append(rep.Segments, info)
 	}
-	sort.Slice(rep.Segments, func(a, b int) bool { return rep.Segments[a].Generation < rep.Segments[b].Generation })
-	sort.Slice(rep.WALs, func(a, b int) bool { return rep.WALs[a].Base < rep.WALs[b].Base })
+	for _, w := range l.wals {
+		info := WALFileInfo{Name: walFileName(w.gen), Base: w.gen, Size: w.size}
+		records, valid, torn, err := wal.ScanFS(fsys, filepath.Join(dir, info.Name), nil)
+		if err != nil {
+			info.Err = err.Error()
+		} else {
+			info.Records, info.ValidBytes, info.Torn = records, valid, torn
+		}
+		rep.WALs = append(rep.WALs, info)
+	}
 
-	// Dry-run recovery: recoverDir only reads (the live WAL is opened —
-	// and its torn tail truncated — by Open, not here).
-	st, _, err := recoverDir(dir, Options{FS: fsys})
+	st, err := recoverDir(dir, l, Options{FS: fsys}, false)
 	if err != nil {
 		rep.RecoveryErr = err.Error()
 		return rep, nil

@@ -134,7 +134,7 @@ func TestSegmentTruncatedOnDiskFallsBackToOlder(t *testing.T) {
 			t.Fatalf("cut=%d: fallback state has %d sequences", cut, n)
 		}
 		// Inspect must flag the damage for ops tooling.
-		rep, err := Inspect(dir)
+		rep, err := Inspect(vfs.OS, dir)
 		if err != nil {
 			t.Fatalf("cut=%d: inspect: %v", cut, err)
 		}

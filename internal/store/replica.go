@@ -3,11 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"path/filepath"
-	"strings"
 
-	"repro/internal/vfs"
 	"repro/internal/wal"
 )
 
@@ -16,7 +12,8 @@ import (
 // replication feed instead of from local Append calls. The store stays
 // the single owner of the on-disk format — the repl package moves bytes
 // and positions, and everything that touches segments, WAL framing, or
-// the spine goes through the entry points here.
+// the spine goes through the entry points here and in layout.go
+// (LatestSegment, ChainReader, ResetFromSegment).
 //
 // A follower applies each shipped batch through the primary's own write
 // path (commit.go): log the payload to its own WAL first, then apply it
@@ -106,108 +103,4 @@ func (st *Store) ApplyReplicated(target uint64, payload []byte) (*Snapshot, erro
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.commitLocked(payload, records, upsert, target)
-}
-
-// WALFileName returns the on-disk file name of the WAL based at base.
-// Exported for the replication feed, which resolves chain files by name.
-func WALFileName(base uint64) string { return walFileName(base) }
-
-// ParseWALFileName extracts the base generation from a WAL file name.
-func ParseWALFileName(name string) (base uint64, ok bool) { return parseWALName(name) }
-
-// NewestSegment reports the newest checkpoint segment in dir: its path
-// and generation. ok is false when the directory holds no segment.
-func NewestSegment(fsys vfs.FS, dir string) (path string, gen uint64, ok bool, err error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return "", 0, false, fmt.Errorf("store: read dir %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if g, isSeg := parseSegmentName(e.Name()); isSeg && g > gen {
-			gen, ok = g, true
-		}
-	}
-	if !ok {
-		return "", 0, false, nil
-	}
-	return filepath.Join(dir, segmentFileName(gen)), gen, true, nil
-}
-
-// ChainWALFile resolves which WAL file in dir holds the record that
-// produces generation next, and how many of its records precede it: the
-// chain file with the largest base below next. skip is the number of
-// records to consume before the wanted one (record skip+1 of that file
-// produces next). ok is false when no chain file can hold the position —
-// for a replication feed that means the requested position predates the
-// retained chain (checkpoint swept it) and the follower must re-bootstrap.
-func ChainWALFile(fsys vfs.FS, dir string, next uint64) (path string, base uint64, skip int, ok bool, err error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return "", 0, 0, false, fmt.Errorf("store: read dir %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if b, isWAL := parseWALName(e.Name()); isWAL && b < next && (!ok || b > base) {
-			base, ok = b, true
-		}
-	}
-	if !ok {
-		return "", 0, 0, false, nil
-	}
-	return filepath.Join(dir, walFileName(base)), base, int(next - base - 1), true, nil
-}
-
-// InstallSegmentBytes validates a serialized segment image and installs
-// it atomically into dir under its canonical name, returning the
-// generation it holds. The follower's bootstrap path: the image arrives
-// over the feed and must prove its CRC before it can become local state.
-func InstallSegmentBytes(fsys vfs.FS, dir string, data []byte) (gen uint64, err error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	gen, _, err = decodeSegment(data)
-	if err != nil {
-		return 0, err
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("store: install segment: %w", err)
-	}
-	if err := writeSegment(fsys, dir, gen, data); err != nil {
-		return 0, err
-	}
-	return gen, nil
-}
-
-// RemoveStorageFiles deletes every segment, WAL, and segment temp file in
-// dir, leaving anything else (metadata files, sibling content) alone. The
-// follower's re-bootstrap path: local state proved divergent and is
-// discarded before a fresh segment installs. A missing directory is not
-// an error.
-func RemoveStorageFiles(fsys vfs.FS, dir string) error {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("store: read dir %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		_, isSeg := parseSegmentName(name)
-		_, isWAL := parseWALName(name)
-		if isSeg || isWAL || strings.Contains(name, segmentSuffix+".tmp") {
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				return fmt.Errorf("store: remove %s: %w", name, err)
-			}
-		}
-	}
-	return syncDir(fsys, dir)
 }

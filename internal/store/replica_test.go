@@ -18,20 +18,16 @@ import (
 // the WAL chain record by record through ApplyReplicated.
 func replicateDir(t *testing.T, primaryDir, followerDir string, opt Options) *Store {
 	t.Helper()
-	segPath, segGen, ok, err := NewestSegment(vfs.OS, primaryDir)
+	data, segGen, ok, err := LatestSegment(vfs.OS, primaryDir)
 	if err != nil || !ok {
-		t.Fatalf("NewestSegment: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSegment: ok=%v err=%v", ok, err)
 	}
-	data, err := vfs.OS.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := InstallSegmentBytes(vfs.OS, followerDir, data)
+	gen, err := ResetFromSegment(vfs.OS, followerDir, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != segGen {
-		t.Fatalf("InstallSegmentBytes gen=%d, want %d", gen, segGen)
+		t.Fatalf("ResetFromSegment gen=%d, want %d", gen, segGen)
 	}
 	f, err := Open(followerDir, opt)
 	if err != nil {
@@ -40,39 +36,18 @@ func replicateDir(t *testing.T, primaryDir, followerDir string, opt Options) *St
 	f.SetFollower()
 
 	// Tail the primary's chain from the follower's position.
+	c := NewChainReader(vfs.OS, primaryDir, f.Current().Generation()+1)
+	defer c.Close()
 	for {
-		next := f.Current().Generation() + 1
-		path, _, skip, ok, err := ChainWALFile(vfs.OS, primaryDir, next)
+		p, ok, err := c.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			t.Fatalf("no chain file for generation %d", next)
-		}
-		r, err := wal.OpenReader(vfs.OS, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Skip(skip); err != nil {
-			t.Fatal(err)
-		}
-		advanced := false
-		for {
-			p, ok, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if _, err := f.ApplyReplicated(f.Current().Generation()+1, p); err != nil {
-				t.Fatal(err)
-			}
-			advanced = true
-		}
-		r.Close()
-		if !advanced {
 			break
+		}
+		if _, err := f.ApplyReplicated(f.Current().Generation()+1, p); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return f
@@ -231,16 +206,23 @@ func TestChainWALFileResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generation 6 is record 1 of the WAL based at 5.
-	_, base, skip, ok, err := ChainWALFile(vfs.OS, dir, 6)
+	c := NewChainReader(vfs.OS, dir, 6)
+	defer c.Close()
+	p, ok, err := c.Next()
 	if err != nil || !ok {
-		t.Fatalf("ChainWALFile: ok=%v err=%v", ok, err)
+		t.Fatalf("chain read of generation 6: ok=%v err=%v", ok, err)
 	}
-	if base != 5 || skip != 0 {
-		t.Fatalf("base=%d skip=%d, want 5, 0", base, skip)
+	if c.base != 5 || c.rd.Records() != 1 {
+		t.Fatalf("base=%d record=%d, want 5, 1", c.base, c.rd.Records())
+	}
+	if recs, _, err := decodeBatch(p); err != nil || !reflect.DeepEqual(recs[0].Events, []string{"b"}) {
+		t.Fatalf("generation 6 record = %+v, %v", recs, err)
 	}
 	// Generation 5 predates the retained chain (swept by the checkpoint).
-	if _, _, _, ok, err := ChainWALFile(vfs.OS, dir, 5); err != nil || ok {
-		t.Fatalf("swept position: ok=%v err=%v, want ok=false", ok, err)
+	swept := NewChainReader(vfs.OS, dir, 5)
+	defer swept.Close()
+	if _, ok, err := swept.Next(); ok || !errors.Is(err, ErrChainGap) {
+		t.Fatalf("swept position: ok=%v err=%v, want ErrChainGap", ok, err)
 	}
 }
 
@@ -255,16 +237,16 @@ func TestInstallSegmentAtomic(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS)
 	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: segmentSuffix, At: 0, Err: syscall.EIO})
-	if _, err := InstallSegmentBytes(ffs, dir, encodeSegment(3, db)); !errors.Is(err, syscall.EIO) {
+	if _, err := ResetFromSegment(ffs, dir, encodeSegment(3, db)); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("install with a failing rename: %v, want EIO", err)
 	}
 	if entries, _ := ffs.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("failed install left %d files", len(entries))
 	}
-	if gen, err := InstallSegmentBytes(ffs, dir, encodeSegment(3, db)); err != nil || gen != 3 {
+	if gen, err := ResetFromSegment(ffs, dir, encodeSegment(3, db)); err != nil || gen != 3 {
 		t.Fatalf("install: gen=%d err=%v", gen, err)
 	}
-	if _, gen, ok, err := NewestSegment(vfs.OS, dir); err != nil || !ok || gen != 3 {
-		t.Fatalf("NewestSegment: gen=%d ok=%v err=%v", gen, ok, err)
+	if _, gen, ok, err := LatestSegment(vfs.OS, dir); err != nil || !ok || gen != 3 {
+		t.Fatalf("LatestSegment: gen=%d ok=%v err=%v", gen, ok, err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/seq"
 	"repro/internal/vfs"
@@ -36,34 +34,9 @@ const (
 	segmentMagic      = "GSEG"
 	segmentVersion    = 1
 	segmentHeaderSize = 28
-	// segmentSuffix names checkpoint files: segment-<generation as
-	// 16-hex-digit>.seg, zero-padded so lexical order is generation order.
-	segmentSuffix = ".seg"
-	segmentPrefix = "segment-"
 )
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// segmentFileName returns the file name of the checkpoint for gen.
-func segmentFileName(gen uint64) string {
-	return fmt.Sprintf("%s%016x%s", segmentPrefix, gen, segmentSuffix)
-}
-
-// parseSegmentName extracts the generation from a segment file name.
-func parseSegmentName(name string) (gen uint64, ok bool) {
-	if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-	if len(hex) != 16 {
-		return 0, false
-	}
-	gen, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return gen, true
-}
 
 // encodeSegment serializes db as a complete segment image for gen.
 func encodeSegment(gen uint64, db *seq.DB) []byte {

@@ -69,14 +69,6 @@ type Options struct {
 	ProbeBackoffMax time.Duration
 }
 
-// fs resolves the effective filesystem.
-func (o Options) fs() vfs.FS {
-	if o.FS != nil {
-		return o.FS
-	}
-	return vfs.OS
-}
-
 // Record is one unit of an append batch: events to add under a label.
 // With upsert semantics, a non-empty Label naming an existing sequence
 // appends the events to that sequence (the log/trace case: new events for

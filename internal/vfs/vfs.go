@@ -62,6 +62,15 @@ type FS interface {
 // package and File values are *os.File.
 var OS FS = osFS{}
 
+// Or returns fsys, or OS when fsys is nil: the one default for every
+// configuration field where nil means "the real filesystem".
+func Or(fsys FS) FS {
+	if fsys == nil {
+		return OS
+	}
+	return fsys
+}
+
 type osFS struct{}
 
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

@@ -50,7 +50,7 @@ func (f slowSyncFile) Sync() error {
 func TestGroupCommitConcurrent(t *testing.T) {
 	const clients, perClient = 8, 40
 	dir := t.TempDir()
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{})
+	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	// Replay: record i of the scan must be the payload assigned number
 	// i+1, and every number must be present.
 	i := 0
-	n, _, torn, err := Scan(l.Path(), func(p []byte) error {
+	n, _, torn, err := ScanFS(vfs.OS, l.Path(), func(p []byte) error {
 		i++
 		if byRec[i] == nil {
 			return fmt.Errorf("record %d was never assigned", i)
@@ -132,7 +132,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const clients, perClient = 8, 25
 	dir := t.TempDir()
 	fs := slowSyncFS{FS: vfs.OS, delay: 2 * time.Millisecond}
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{FS: fs})
+	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{FS: fs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestGroupCommitFailedFsyncFailsBatch(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS)
 	// Every fsync fails: whichever batches form, each fails whole.
 	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, At: -1, Err: syscall.EIO})
-	l, err := Open(path, Options{FS: ffs})
+	l, err := Open(path, Options{FS: ffs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestGroupCommitFailedFsyncFailsBatch(t *testing.T) {
 	// Nothing was acknowledged, so recovery owes nothing: however many
 	// complete frames the failed-fsync batches left behind, reopening
 	// and truncating to 0 acknowledged records must succeed.
-	l2, err := Open(path, Options{})
+	l2, err := Open(path, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestGroupCommitCloseRace(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal-0000000000000001.log")
-		l, err := Open(path, Options{})
+		l, err := Open(path, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestGroupCommitCloseRace(t *testing.T) {
 				want++
 			}
 		}
-		n, _, torn, err := Scan(path, nil)
+		n, _, torn, err := ScanFS(vfs.OS, path, nil)
 		if err != nil || torn {
 			t.Fatalf("scan: torn=%v err=%v", torn, err)
 		}
@@ -286,7 +286,7 @@ func TestGroupCommitCloseRace(t *testing.T) {
 func TestCommitWithoutCommitter(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy})
+		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestCommitWithoutCommitter(t *testing.T) {
 			t.Fatalf("%v: CommitStats = %+v, want 3 one-record batches and no fsync", policy, stats)
 		}
 		l.Close()
-		if n, _, torn, err := Scan(l.Path(), nil); n != 3 || torn || err != nil {
+		if n, _, torn, err := ScanFS(vfs.OS, l.Path(), nil); n != 3 || torn || err != nil {
 			t.Fatalf("%v: scan n=%d torn=%v err=%v", policy, n, torn, err)
 		}
 	}
@@ -318,7 +318,7 @@ func TestCommitWithoutCommitter(t *testing.T) {
 func TestCommitterOnlyUnderSyncAlways(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy})
+		l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{Policy: policy}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestFrameEncodeZeroAllocs(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 128)
 	for i, policy := range []SyncPolicy{SyncNever, SyncAlways} {
-		l, err := Open(filepath.Join(dir, fmt.Sprintf("wal-%016x.log", i+1)), Options{Policy: policy})
+		l, err := Open(filepath.Join(dir, fmt.Sprintf("wal-%016x.log", i+1)), Options{Policy: policy}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,25 +7,28 @@ import (
 	"repro/internal/vfs"
 )
 
-// Reader is a record-position cursor over a WAL file that another process
-// (or another goroutine) may still be appending to. Unlike Scan, which
-// consumes the whole valid prefix in one call, a Reader hands out records
-// one at a time and can be re-polled after reporting end-of-log: the file
-// size is re-stated on every Next, so frames appended after the Reader
-// was opened become visible without reopening. The replication feed tails
-// a primary's live WAL through this.
+// Reader is a record-position cursor over a WAL file, and the one
+// decoder of the frame format: Open replays a log through it, ScanFS and
+// TruncateTo walk it, and the replication feed tails a primary's live
+// WAL with it. It hands out records one at a time and can be re-polled
+// after reporting end-of-log, so frames appended after the Reader was
+// opened become visible without reopening.
+//
+// The cursor caches the file size and re-states it only when the next
+// frame runs past the cached size: reading N records already on disk
+// costs one Stat, not N.
 //
 // A Reader never trusts a partially visible frame: a frame whose header,
-// body, or CRC does not fully check out against the CURRENT file size is
+// body, or CRC does not fully check out against the file size is
 // indistinguishable from a write in progress, so Next reports "no record
 // yet" rather than an error. The caller decides whether that means "poll
 // again" (live tail) or "torn tail" (file known to be sealed).
 //
 // A Reader is not safe for concurrent use.
 type Reader struct {
-	fsys vfs.FS
 	f    vfs.File
 	path string
+	size int64 // file size as last stated
 	off  int64 // byte offset of the next frame header
 	rec  int   // records returned so far
 	hdr  [frameHeaderSize]byte
@@ -34,14 +37,11 @@ type Reader struct {
 
 // OpenReader opens a cursor at the first record of the WAL file at path.
 func OpenReader(fsys vfs.FS, path string) (*Reader, error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return &Reader{fsys: fsys, f: f, path: path}, nil
+	return &Reader{f: f, path: path}, nil
 }
 
 // Next returns the next intact record. ok is false when no complete,
@@ -50,20 +50,43 @@ func OpenReader(fsys vfs.FS, path string) (*Reader, error) {
 // or a torn/corrupt tail (if the file is sealed, nothing more is coming).
 // The returned payload is only valid until the next call to Next or Skip.
 func (r *Reader) Next() (payload []byte, ok bool, err error) {
-	st, err := r.f.Stat()
-	if err != nil {
-		return nil, false, fmt.Errorf("wal: stat %s: %w", r.path, err)
+	payload, short, err := r.frame()
+	if short {
+		// The frame runs past the size last stated; the file may have
+		// grown since.
+		st, serr := r.f.Stat()
+		if serr != nil {
+			return nil, false, fmt.Errorf("wal: stat %s: %w", r.path, serr)
+		}
+		if st.Size() == r.size {
+			return nil, false, nil
+		}
+		r.size = st.Size()
+		payload, _, err = r.frame()
 	}
-	remaining := st.Size() - r.off
+	return payload, payload != nil, err
+}
+
+// frame decodes the frame at the cursor against the cached file size and,
+// when it is intact, advances past it and returns its payload. short
+// reports a header or body that runs past the cached size. A nil payload
+// that is not short is a corrupt frame: an absurd length field or a CRC
+// mismatch. Allocation is capped by the file size, so a corrupt length
+// can never force an over-allocation.
+func (r *Reader) frame() (payload []byte, short bool, err error) {
+	remaining := r.size - r.off
 	if remaining < frameHeaderSize {
-		return nil, false, nil
+		return nil, true, nil
 	}
 	if _, err := r.f.ReadAt(r.hdr[:], r.off); err != nil {
 		return nil, false, fmt.Errorf("wal: read frame header %s: %w", r.path, err)
 	}
 	n := int64(binary.LittleEndian.Uint32(r.hdr[0:4]))
-	if n == 0 || n > maxPayload || n > remaining-frameHeaderSize {
+	if n == 0 || n > maxPayload {
 		return nil, false, nil
+	}
+	if n > remaining-frameHeaderSize {
+		return nil, true, nil
 	}
 	if int64(cap(r.buf)) < n {
 		r.buf = make([]byte, n)
@@ -77,7 +100,24 @@ func (r *Reader) Next() (payload []byte, ok bool, err error) {
 	}
 	r.off += frameHeaderSize + n
 	r.rec++
-	return r.buf, true, nil
+	return r.buf, false, nil
+}
+
+// each calls fn (when non-nil) for every intact record ahead of the
+// cursor, stopping cleanly at the first torn, corrupt or unwritten frame.
+// fn returning an error stops the walk with that error.
+func (r *Reader) each(fn func(payload []byte) error) error {
+	for {
+		p, ok, err := r.Next()
+		if !ok || err != nil {
+			return err
+		}
+		if fn != nil {
+			if err := fn(p); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // Skip advances past the next n records without returning their payloads.
@@ -103,9 +143,6 @@ func (r *Reader) Offset() int64 { return r.off }
 
 // Records returns how many records the cursor has consumed.
 func (r *Reader) Records() int { return r.rec }
-
-// Path returns the file path the cursor reads.
-func (r *Reader) Path() string { return r.path }
 
 // Close releases the underlying file handle.
 func (r *Reader) Close() error {

@@ -45,7 +45,7 @@ func TestReaderRoundTrip(t *testing.T) {
 // reported end-of-log) become visible on the next poll.
 func TestReaderSeesLiveAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, Options{Policy: SyncNever})
+	l, err := Open(path, Options{Policy: SyncNever}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal-0000000000000001.log")
 		ffs := vfs.NewFaultFS(vfs.OS)
-		l, err := Open(path, Options{FS: ffs})
+		l, err := Open(path, Options{FS: ffs}, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
@@ -41,7 +41,7 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 
 		// Reopen through the real OS: recovery must see exactly the
 		// acknowledged record and truncate the torn bytes away.
-		l2, err := Open(path, Options{})
+		l2, err := Open(path, Options{}, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -53,7 +53,7 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 			t.Fatalf("cut=%d: size %d after truncation, want %d", cut, l2.Size(), wantSize)
 		}
 		var got [][]byte
-		if _, _, torn2, err := Scan(path, func(p []byte) error {
+		if _, _, torn2, err := ScanFS(vfs.OS, path, func(p []byte) error {
 			got = append(got, append([]byte(nil), p...))
 			return nil
 		}); err != nil || torn2 {
@@ -76,7 +76,7 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 func TestTruncateToDropsTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-0000000000000001.log")
-	l, err := Open(path, Options{})
+	l, err := Open(path, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTruncateToDropsTail(t *testing.T) {
 	l.Close()
 
 	var got [][]byte
-	n, _, torn, err := Scan(path, func(p []byte) error {
+	n, _, torn, err := ScanFS(vfs.OS, path, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -125,7 +125,7 @@ func TestTruncateToDropsTail(t *testing.T) {
 func TestWALErrAccessor(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS)
-	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{FS: ffs})
+	l, err := Open(filepath.Join(dir, "wal-0000000000000001.log"), Options{FS: ffs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

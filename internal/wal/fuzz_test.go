@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // FuzzScan feeds arbitrary bytes to the frame decoder: it must never
@@ -37,7 +39,7 @@ func FuzzScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		var total int64
-		records, valid, torn, err := Scan(path, func(p []byte) error {
+		records, valid, torn, err := ScanFS(vfs.OS, path, func(p []byte) error {
 			total += int64(len(p))
 			return nil
 		})
@@ -57,7 +59,7 @@ func FuzzScan(f *testing.F) {
 
 		// Opening the same bytes must truncate to exactly the valid prefix
 		// and then accept a new append.
-		l, err := Open(path, Options{Policy: SyncNever})
+		l, err := Open(path, Options{Policy: SyncNever}, nil)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -71,7 +73,7 @@ func FuzzScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		var last []byte
-		records2, _, torn2, err := Scan(path, func(p []byte) error {
+		records2, _, torn2, err := ScanFS(vfs.OS, path, func(p []byte) error {
 			last = append(last[:0], p...)
 			return nil
 		})

@@ -16,7 +16,7 @@
 // Torn writes — the tail of the file holding a frame that was only partly
 // written when the process or machine died — are detected by the CRC (or
 // by the frame extending past the end of the file) and are not an error:
-// Scan stops cleanly at the last intact frame, and Open truncates the
+// ScanFS stops cleanly at the last intact frame, and Open truncates the
 // torn tail away so the next append starts on a clean boundary. A frame
 // is either fully durable or it never happened; there is no state in
 // which replay yields a corrupted record.
@@ -108,21 +108,13 @@ type Options struct {
 	FS vfs.FS
 }
 
-// fs resolves the effective filesystem.
-func (o Options) fs() vfs.FS {
-	if o.FS != nil {
-		return o.FS
-	}
-	return vfs.OS
-}
-
 // frameHeaderSize is the fixed per-record overhead: 4-byte length +
 // 4-byte CRC32C.
 const frameHeaderSize = 8
 
 // maxPayload bounds a single record. Far above any append batch the
-// store writes; its real job is to let Scan reject absurd length fields
-// (from corruption) without attempting huge allocations.
+// store writes; its real job is to let the Reader reject absurd length
+// fields (from corruption) without attempting huge allocations.
 const maxPayload = 1 << 30
 
 // castagnoli is the CRC32C table (the polynomial used by iSCSI, ext4,
@@ -206,27 +198,24 @@ type Log struct {
 	com *committer
 }
 
-// Open opens (creating if needed) the log at path, scans it to find the
-// valid record prefix, truncates any torn tail, and positions for
-// appending. The returned Log is ready for Commit; the number of intact
-// records already in the log is available via Records, and callers replay
-// them with Scan before appending.
-func Open(path string, opt Options) (*Log, error) {
-	f, err := opt.fs().OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+// Open opens (creating if needed) the log at path and positions it for
+// appending. It replays the file in one pass over the handle it keeps:
+// replay (when non-nil) is called with every intact record in append
+// order, and the same pass finds the valid prefix and the record count
+// (Records). A torn tail after the prefix is truncated away. An error
+// from replay aborts the open and is returned as is.
+func Open(path string, opt Options, replay func(payload []byte) error) (*Log, error) {
+	f, err := vfs.Or(opt.FS).OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	r := &Reader{f: f, path: path}
+	if err := r.each(replay); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
+		return nil, err
 	}
-	recs, valid, _, err := scan(f, st.Size(), nil)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: scan %s: %w", path, err)
-	}
-	if valid < st.Size() {
+	valid := r.off
+	if r.size > valid {
 		// Torn or corrupt tail from a crash mid-write: drop it so the next
 		// frame starts on a clean boundary. Nothing acknowledged lives
 		// there — acknowledgment happens after the full frame write (and,
@@ -244,7 +233,7 @@ func Open(path string, opt Options) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, opt: opt, recs: recs}
+	l := &Log{f: f, path: path, opt: opt, recs: r.rec}
 	l.size.Store(valid)
 	if opt.Policy == SyncInterval {
 		interval := opt.Interval
@@ -327,16 +316,13 @@ func (l *Log) TruncateTo(n int) error {
 	if n >= l.recs {
 		return nil
 	}
-	// Walk the first n frame headers to find the byte offset where
-	// record n starts; everything from there on is dropped.
-	var off int64
-	hdr := make([]byte, frameHeaderSize)
-	for i := 0; i < n; i++ {
-		if _, err := l.f.ReadAt(hdr, off); err != nil {
-			return fmt.Errorf("wal: reread frame header: %w", err)
-		}
-		off += frameHeaderSize + int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	// Walk the first n records to find the byte offset where record n+1
+	// starts; everything from there on is dropped.
+	r := &Reader{f: l.f, path: l.path}
+	if err := r.Skip(n); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
 	}
+	off := r.off
 	if err := l.f.Truncate(off); err != nil {
 		l.err = fmt.Errorf("wal: truncate: %w", err)
 		return l.err
@@ -493,73 +479,21 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Scan replays the intact record prefix of the log file at path, calling
-// fn for every record in append order. The payload passed to fn is only
-// valid during the call. It returns the number of intact records, the
-// byte length of the valid prefix, and whether a torn or corrupt tail
-// follows it (torn tails are normal after a crash and are not an error).
-// fn returning an error aborts the scan with that error.
-func Scan(path string, fn func(payload []byte) error) (records int, valid int64, torn bool, err error) {
-	return ScanFS(vfs.OS, path, fn)
-}
-
-// ScanFS is Scan through an explicit filesystem, for callers that thread
-// a fault-injecting vfs.FS through recovery.
+// ScanFS replays the intact record prefix of the log file at path
+// without modifying it, calling fn (when non-nil) for every record in
+// append order. The payload passed to fn is only valid during the call.
+// It returns the number of intact records, the byte length of the valid
+// prefix, and whether a torn or corrupt tail follows it (torn tails are
+// normal after a crash and are not an error). fn returning an error
+// aborts the scan with that error.
 func ScanFS(fsys vfs.FS, path string, fn func(payload []byte) error) (records int, valid int64, torn bool, err error) {
-	f, err := fsys.Open(path)
+	r, err := OpenReader(fsys, path)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: open %s: %w", path, err)
+		return 0, 0, false, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: stat %s: %w", path, err)
+	defer r.Close()
+	if err := r.each(fn); err != nil {
+		return r.rec, r.off, false, err
 	}
-	return scan(f, st.Size(), fn)
-}
-
-// scan reads frames from r until the first torn/corrupt frame or EOF.
-// Allocation is capped by the remaining file size, so a corrupt length
-// field can never force an over-allocation.
-func scan(r io.ReaderAt, fileSize int64, fn func(payload []byte) error) (records int, valid int64, torn bool, err error) {
-	var off int64
-	var hdr [frameHeaderSize]byte
-	var buf []byte
-	for {
-		remaining := fileSize - off
-		if remaining == 0 {
-			return records, off, false, nil
-		}
-		if remaining < frameHeaderSize {
-			return records, off, true, nil
-		}
-		if _, err := r.ReadAt(hdr[:], off); err != nil {
-			return records, off, false, fmt.Errorf("wal: read frame header: %w", err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n == 0 || n > maxPayload || n > remaining-frameHeaderSize {
-			// A frame past EOF is a torn write; an absurd length is
-			// corruption. Either way the valid prefix ends here.
-			return records, off, true, nil
-		}
-		if int64(cap(buf)) < n {
-			// Cap growth by what the file can still hold, so corruption
-			// cannot drive allocation beyond the file size.
-			buf = make([]byte, n, min(remaining-frameHeaderSize, fileSize))
-		}
-		buf = buf[:n]
-		if _, err := r.ReadAt(buf, off+frameHeaderSize); err != nil {
-			return records, off, false, fmt.Errorf("wal: read frame payload: %w", err)
-		}
-		if frameCRC([4]byte(hdr[0:4]), buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return records, off, true, nil
-		}
-		if fn != nil {
-			if err := fn(buf); err != nil {
-				return records, off, false, err
-			}
-		}
-		records++
-		off += frameHeaderSize + n
-	}
+	return r.rec, r.off, r.size > r.off, nil
 }

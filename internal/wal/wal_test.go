@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // appendAll writes the given payloads and closes the log.
 func appendAll(t *testing.T, path string, opt Options, payloads ...[]byte) {
 	t.Helper()
-	l, err := Open(path, opt)
+	l, err := Open(path, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func appendAll(t *testing.T, path string, opt Options, payloads ...[]byte) {
 // scanAll replays the log and returns the payload copies plus scan info.
 func scanAll(t *testing.T, path string) (payloads [][]byte, records int, valid int64, torn bool) {
 	t.Helper()
-	records, valid, torn, err := Scan(path, func(p []byte) error {
+	records, valid, torn, err := ScanFS(vfs.OS, path, func(p []byte) error {
 		payloads = append(payloads, append([]byte(nil), p...))
 		return nil
 	})
@@ -63,7 +65,7 @@ func TestReopenAppendsAfterExisting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	appendAll(t, path, Options{}, []byte("a"), []byte("b"))
 
-	l, err := Open(path, Options{})
+	l, err := Open(path, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(path, Options{})
+		l, err := Open(path, Options{}, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -146,7 +148,7 @@ func TestBitFlipStopsScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got [][]byte
-		records, _, _, err := Scan(path, func(p []byte) error {
+		records, _, _, err := ScanFS(vfs.OS, path, func(p []byte) error {
 			got = append(got, append([]byte(nil), p...))
 			return nil
 		})
@@ -168,10 +170,10 @@ func TestBitFlipStopsScan(t *testing.T) {
 func TestEmptyAndMissing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	if _, _, _, err := Scan(path, nil); err == nil {
+	if _, _, _, err := ScanFS(vfs.OS, path, nil); err == nil {
 		t.Fatal("Scan of a missing file must error")
 	}
-	l, err := Open(path, Options{})
+	l, err := Open(path, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestEmptyAndMissing(t *testing.T) {
 
 func TestSyncIntervalFlushesInBackground(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, Options{Policy: SyncInterval, Interval: 5 * time.Millisecond})
+	l, err := Open(path, Options{Policy: SyncInterval, Interval: 5 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestSyncIntervalFlushesInBackground(t *testing.T) {
 
 func TestClosedLogRejectsAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, Options{})
+	l, err := Open(path, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
