@@ -219,6 +219,25 @@
 // O(log L) binary search individually — see the README's
 // performance-tuning section for the measured trade-offs.
 //
+// Following the remark under Theorem 6, a DFS node grows only candidate
+// events (events occurring after some instance of its support set), and
+// of those only events that pass a per-sequence support bound. Within a
+// sequence Si, the instances of P∘e extend pairwise distinct instances of
+// P and end at pairwise distinct positions of e (non-overlapping
+// instances never share a landmark at the same pattern index), so
+// sup_i(P∘e) <= min(sup_i(P), count_i(e)); repetitive support sums over
+// sequences, hence sup(P∘e) <= Σi min(sup_i(P), count_i(e)). An event
+// whose bound is below the threshold cannot give a frequent child, and
+// its instance growth is skipped. Closure checking reuses the bounded
+// lists soundly: an equal-support extension of a frequent pattern has a
+// frequent prefix ending in the inserted event, whose bound is therefore
+// at least the threshold. The bound applies in the repetitive, closed,
+// compressed and nonoverlap modes, which grow the same leftmost sets, but
+// not under gapped, whose gap-valid end sets can outnumber their parent's
+// instances; top-k uses it as each child's support upper bound. It has no
+// switch and never changes output: on Quest D1C20N1S20 at min_sup 10 it
+// cuts an all-patterns mine from 149,298 instance growths to 2,441.
+//
 // # Parallel mining
 //
 // Options.Workers > 1 runs the mining DFS on a work-stealing scheduler:

@@ -7,7 +7,9 @@ import "repro/internal/seq"
 // I, strictly after the earliest last-landmark of I's instances in that
 // sequence. (Within a sequence, I is sorted by last landmark, so the first
 // instance of the run has the earliest one; any event occurring after it
-// can extend at least that instance.)
+// can extend at least that instance.) When the miner bounds its candidates
+// (candidateFloor), events whose per-sequence support bound is below
+// MinSupport are left out; see candScan.
 //
 // This realizes the remark under Theorem 6: "we can maintain a list of
 // possible events which are much fewer than those in E". The test is one
@@ -15,34 +17,120 @@ import "repro/internal/seq"
 // scan costs O(Σ distinct events per touched sequence) with no pointer
 // chasing. The returned slice comes from the miner's candidate-buffer pool
 // (the DFS holds it across recursive calls, then recycles it with
-// putCands); the seen-bitmap scratch is shared and reset before returning.
+// putCands).
 func (m *miner) candidates(I Set) []seq.EventID {
+	out := m.listCandidates(I)
+	m.scan.reset(out)
+	return out
+}
+
+// candidateBounds is candidates plus, parallel to the list, each event's
+// support bound Σᵢ min(|Iᵢ|, countᵢ(e)) — an upper bound on sup(P∘e) for
+// the leftmost set grown by appendGrow. The bound slice is scratch, valid
+// until the next call.
+func (m *miner) candidateBounds(I Set) ([]seq.EventID, []int32) {
+	out := m.listCandidates(I)
+	bounds := m.scan.bounds(out)
+	m.scan.reset(out)
+	return out, bounds
+}
+
+// listCandidates scans I's sequence runs into a pooled list, leaving the
+// survivors' bounds in the scratch for the caller to read and reset.
+func (m *miner) listCandidates(I Set) []seq.EventID {
 	out := m.getCands()
 	start := 0
 	for start < len(I) {
-		si := I[start].Seq
-		firstLast := I[start].Last
-		end := start
-		for end < len(I) && I[end].Seq == si {
+		end := start + 1
+		for end < len(I) && I[end].Seq == I[start].Seq {
 			end++
 		}
-		events, last := m.ix.EventsLast(int(si))
-		for k, e := range events {
-			if m.seen[e] {
-				continue
-			}
-			if last[k] > firstLast {
-				m.seen[e] = true
-				out = append(out, e)
-			}
-		}
+		out = m.scan.addRun(out, m.ix, int(I[start].Seq), I[start].Last, int32(end-start))
 		start = end
 	}
-	for _, e := range out {
-		m.seen[e] = false
+	return m.scan.finish(out, m.candFloor)
+}
+
+// candScan is the scratch of candidate generation, shared by the miner
+// and the full-landmark ablation miner so both prune the same lists.
+//
+// The per-sequence support bound: the instances of P∘e in sequence Sᵢ
+// extend pairwise distinct instances of P and end at pairwise distinct
+// positions of e (no two non-overlapping instances share a landmark at
+// the same pattern index), so sup_i(P∘e) <= min(sup_i(P), countᵢ(e)).
+// Repetitive support decomposes per sequence, and a leftmost set holds
+// sup_i(P) instances in every sequence, so sup(P∘e) <= Σᵢ min(|Iᵢ|,
+// countᵢ(e)) over the sequences I touches — the Apriori property split
+// per sequence. An event whose bound is below MinSupport cannot give a
+// frequent child, so its instance growth is skipped.
+type candScan struct {
+	// bound[e] accumulates e's support bound over the runs added so far;
+	// a nonzero entry doubles as "e is already listed". Zero between
+	// calls.
+	bound []int32
+	// kept backs the slice bounds returns; only top-k asks for it.
+	kept []int32
+}
+
+func newCandScan(numEvents int) candScan {
+	return candScan{bound: make([]int32, numEvents)}
+}
+
+// addRun lists the events of sequence si occurring after firstLast (the
+// earliest last landmark among the run instances of I in si) that are
+// not listed yet, and adds min(run, countᵢ(e)) to each one's bound.
+// EventsLast and EventsCount share one slot index.
+func (c *candScan) addRun(out []seq.EventID, ix *seq.Index, si int, firstLast, run int32) []seq.EventID {
+	events, last := ix.EventsLast(si)
+	_, count := ix.EventsCount(si)
+	for k, e := range events {
+		if last[k] <= firstLast {
+			continue
+		}
+		if c.bound[e] == 0 {
+			out = append(out, e)
+		}
+		c.bound[e] += min(run, count[k])
 	}
-	sortEventIDs(out)
 	return out
+}
+
+// finish drops every listed event whose bound is below floor (floor <= 1
+// keeps them all), zeroing its entry, and sorts the survivors ascending.
+// The survivors' entries stay set until reset.
+func (c *candScan) finish(out []seq.EventID, floor int32) []seq.EventID {
+	kept := out[:0]
+	for _, e := range out {
+		if c.bound[e] >= floor {
+			kept = append(kept, e)
+		} else {
+			c.bound[e] = 0
+		}
+	}
+	sortEventIDs(kept)
+	return kept
+}
+
+// bounds returns the bounds of the finished list, parallel to it, in a
+// buffer reused by the next call. A list never exceeds the alphabet, so
+// the buffer is allocated once, at that size.
+func (c *candScan) bounds(kept []seq.EventID) []int32 {
+	if c.kept == nil {
+		c.kept = make([]int32, 0, len(c.bound))
+	}
+	b := c.kept[:0]
+	for _, e := range kept {
+		b = append(b, c.bound[e])
+	}
+	c.kept = b
+	return b
+}
+
+// reset zeroes the entries of the finished list.
+func (c *candScan) reset(kept []seq.EventID) {
+	for _, e := range kept {
+		c.bound[e] = 0
+	}
 }
 
 // sequenceRunsOf returns the distinct 0-based sequence indices touched by
@@ -108,6 +196,17 @@ func (m *miner) eligibleEvents(seqs, perSeq []int32) []seq.EventID {
 // prefix, cached on candStack. Both inputs are sorted ascending, so the
 // intersection is one merge into the miner's gap-candidate scratch buffer
 // (consumed before the next gap's call overwrites it).
+//
+// The cached lists carry the per-sequence support bound, which drops
+// events whose bound is below MinSupport; reusing them is still sound.
+// An equal-support insertion P' = e1..eg e' e{g+1}..em has sup(P') =
+// sup(P) >= MinSupport, so its prefix e1..eg e' is frequent (Apriori) and
+// the bound of e' at chain[g-1], an upper bound on that prefix's support, is
+// at least MinSupport: e' is on the cached list. The same argument keeps
+// every event CloGSgrow needs elsewhere: an equal-support append
+// extension P∘e (appendEqual) has bound >= sup(P∘e) = sup(P) >=
+// MinSupport, and the landmark-border prune (Theorem 5) only ever fires
+// on an equal-support insertion found here.
 func (m *miner) insertionCandidates(g int, elig []seq.EventID) []seq.EventID {
 	cands := m.candStack[g-1]
 	out := m.gapCandBuf[:0]

@@ -10,8 +10,14 @@ import (
 // of prefix support sets, the way the DFS would have it.
 func newTestMiner(t *testing.T, db *seq.DB, pattern string) *miner {
 	t.Helper()
+	return newTestMinerOpt(t, db, pattern, Options{MinSupport: 1})
+}
+
+// newTestMinerOpt is newTestMiner for a miner running under opt.
+func newTestMinerOpt(t *testing.T, db *seq.DB, pattern string, opt Options) *miner {
+	t.Helper()
 	ix := seq.NewIndex(db)
-	m := newMiner(ix, Options{MinSupport: 1})
+	m := newMiner(ix, opt)
 	p := pat(t, db, pattern)
 	for j := range p {
 		m.pattern = append(m.pattern, p[j])
@@ -81,6 +87,89 @@ func TestCandidatesSound(t *testing.T) {
 				t.Errorf("pattern %s: event %s extends an instance but is not a candidate",
 					pattern, db.Dict.Name(e))
 			}
+		}
+	}
+}
+
+// boundDB is the fixture of the support-bound tests: D follows A, B and
+// C once in S1 and never in S2, so its per-sequence bound is 1 at every
+// node and min_sup 2 drops it from every candidate list.
+func boundDB() *seq.DB {
+	db := seq.NewDB()
+	db.AddChars("S1", "ABCD")
+	db.AddChars("S2", "ABC")
+	return db
+}
+
+// TestCandidatesBound: the bound drops D (Σᵢ min(|Iᵢ|, countᵢ(D)) = 1 <
+// 2) and reports the kept events' sums; at min_sup 1 nothing is dropped.
+func TestCandidatesBound(t *testing.T) {
+	db := boundDB()
+	ix := seq.NewIndex(db)
+	I := singletonSet(ix, pat(t, db, "A")[0])
+	cands, bounds := newMiner(ix, Options{MinSupport: 2}).candidateBounds(I)
+	if eventNames(db, cands) != "BC" || len(bounds) != 2 || bounds[0] != 2 || bounds[1] != 2 {
+		t.Errorf("candidateBounds(A) at min_sup 2 = %s %v, want BC [2 2]", eventNames(db, cands), bounds)
+	}
+	cands, bounds = newMiner(ix, Options{MinSupport: 1}).candidateBounds(I)
+	if eventNames(db, cands) != "BCD" || bounds[2] != 1 {
+		t.Errorf("candidateBounds(A) at min_sup 1 = %s %v, want BCD [2 2 1]", eventNames(db, cands), bounds)
+	}
+	// A strategy outside candidateFloor's list (gapped, or any other
+	// wrapper) keeps every event, even when its nodes behave repetitively.
+	if got := candidateFloor(Options{MinSupport: 2, Semantics: wrappedSemantics{Repetitive}}); got != 0 {
+		t.Errorf("candidateFloor(wrapped) = %d, want 0", got)
+	}
+}
+
+type wrappedSemantics struct{ Semantics }
+
+// TestINSgrowCallsPinned pins the instance-growth count on boundDB at
+// min_sup 2, counted by hand; losing the bound raises both counts.
+//
+// All patterns: A grows B and C (D dropped), AB grows C, ABC and AC list
+// only D, B grows C, BC and C list only D: 4 growths (11 unbounded).
+// Closed: A grows B and C, AB grows C, ABC lists only D; AC, B and C are
+// pruned by the landmark border (ABC, AB and AC keep their last
+// landmarks): 3 growths (6 unbounded).
+func TestINSgrowCallsPinned(t *testing.T) {
+	ix := seq.NewIndex(boundDB())
+	for _, tc := range []struct {
+		closed   bool
+		patterns int
+		growths  int
+	}{{false, 7, 4}, {true, 1, 3}} {
+		for _, w := range []int{1, 2} {
+			res, err := MineParallel(ix, Options{MinSupport: 2, Closed: tc.closed}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumPatterns != tc.patterns || res.Stats.INSgrowCalls != tc.growths {
+				t.Errorf("closed=%v workers=%d: %d patterns, %d INSgrowCalls; want %d, %d",
+					tc.closed, w, res.NumPatterns, res.Stats.INSgrowCalls, tc.patterns, tc.growths)
+			}
+		}
+	}
+}
+
+// TestClosedInsertionThroughBoundedList: closure checking finds the
+// equal-support insertion ABC of AC through the bounded candidate list
+// cached at prefix A (which lacks D), so AC is not reported closed and
+// the closed set equals the definition's.
+func TestClosedInsertionThroughBoundedList(t *testing.T) {
+	db := boundDB()
+	ix := seq.NewIndex(db)
+	m := newTestMinerOpt(t, db, "AC", Options{MinSupport: 2, Closed: true})
+	if got := eventNames(db, m.candStack[0]); got != "BC" {
+		t.Fatalf("cached candidates at A = %s, want BC", got)
+	}
+	if equal, prune := m.checkNonAppend(m.chain[1]); !equal || !prune {
+		t.Errorf("checkNonAppend(AC) = %v, %v; want the equal-support insertion ABC and a border prune", equal, prune)
+	}
+	for _, noLB := range []bool{false, true} {
+		res := mustMine(t, ix, Options{MinSupport: 2, Closed: true, DisableLBCheck: noLB})
+		if got := patternSet(db, res); len(got) != 1 || got["ABC"] != 2 {
+			t.Errorf("DisableLBCheck=%v: closed patterns %v, want ABC:2", noLB, got)
 		}
 	}
 }

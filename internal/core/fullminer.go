@@ -21,7 +21,7 @@ func MineAllFull(v IndexView, opt Options) (*Result, error) {
 	f := &fullMiner{
 		ix:   ix,
 		opt:  opt,
-		seen: make([]bool, ix.DB().Dict.Size()),
+		scan: newCandScan(ix.DB().Dict.Size()),
 		res:  &Result{},
 	}
 	if ctxDone(opt.Ctx) {
@@ -43,7 +43,7 @@ type fullMiner struct {
 	ix      *seq.Index
 	opt     Options
 	pattern []seq.EventID
-	seen    []bool
+	scan    candScan
 	ctxTick int
 	res     *Result
 	stopped bool
@@ -92,32 +92,22 @@ func (f *fullMiner) grow(I FullSet) {
 	}
 }
 
-// candidates mirrors miner.candidates over full-landmark sets.
+// candidates mirrors miner.candidates over full-landmark sets, with the
+// same per-sequence support bound, so ablation A4 compares storage
+// layouts only.
 func (f *fullMiner) candidates(I FullSet) []seq.EventID {
 	out := make([]seq.EventID, 0, 16)
 	start := 0
 	for start < len(I) {
-		si := I[start].Seq
-		land := I[start].Land
-		firstLast := land[len(land)-1]
-		end := start
-		for end < len(I) && I[end].Seq == si {
+		end := start + 1
+		for end < len(I) && I[end].Seq == I[start].Seq {
 			end++
 		}
-		for _, e := range f.ix.Events(int(si)) {
-			if f.seen[e] {
-				continue
-			}
-			if f.ix.LastPos(int(si), e) > firstLast {
-				f.seen[e] = true
-				out = append(out, e)
-			}
-		}
+		land := I[start].Land
+		out = f.scan.addRun(out, f.ix, int(I[start].Seq), land[len(land)-1], int32(end-start))
 		start = end
 	}
-	for _, e := range out {
-		f.seen[e] = false
-	}
-	sortEventIDs(out)
+	out = f.scan.finish(out, int32(f.opt.MinSupport))
+	f.scan.reset(out)
 	return out
 }

@@ -26,6 +26,9 @@ type miner struct {
 	// is the inlined repetitive default (see nodeSemantics): the default
 	// hot path pays a single nil check, no interface dispatch.
 	sem Semantics
+	// candFloor is the per-sequence support bound candidates() applies
+	// (see candidateFloor); 0 lists every extending event.
+	candFloor int32
 
 	freqEvents []seq.EventID // events with singleton support >= min_sup
 
@@ -43,7 +46,7 @@ type miner struct {
 	// pay one append/truncate per node for it.
 	frames []wsFrame
 
-	seen []bool // scratch for candidates()
+	scan candScan // scratch for candidates()
 	// scratchA/scratchB are the ping-pong buffers of closure-check chain
 	// growth (see checkNonAppend). Only their capacity is meaningful
 	// between uses: checkNonAppend stores them back as returned by the
@@ -151,8 +154,10 @@ func newMinerWithSeeds(ix *seq.Index, opt Options, seeds []seq.EventID) *miner {
 	m := &miner{
 		ix:         ix,
 		opt:        opt,
+		sem:        nodeSemantics(opt.Semantics),
+		candFloor:  candidateFloor(opt),
 		freqEvents: seeds,
-		seen:       make([]bool, numEvents),
+		scan:       newCandScan(numEvents),
 		numEvents:  numEvents,
 		pattern:    make([]seq.EventID, 0, depthHint),
 		path:       pathBuf[0:0:depthHint],
@@ -223,7 +228,6 @@ func Mine(v IndexView, opt Options) (*Result, error) {
 		runOpt = opt.Semantics.SearchOptions(opt)
 	}
 	m := newMiner(ix, runOpt)
-	m.sem = nodeSemantics(opt.Semantics)
 	if ctxDone(opt.Ctx) {
 		m.res.Stats.Truncated = true
 		m.stopped = true

@@ -106,7 +106,6 @@ func MineParallel(v IndexView, opt Options, workers int) (*Result, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		m := newMinerWithSeeds(ix, workerOpt, seeds)
-		m.sem = nodeSemantics(opt.Semantics)
 		m.sched = sched
 		m.deque = sched.deques[w]
 		m.tracker = tracker

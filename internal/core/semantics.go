@@ -101,6 +101,21 @@ func nodeSemantics(sem Semantics) Semantics {
 	return sem
 }
 
+// candidateFloor decides, once per miner, whether candidate lists carry
+// the per-sequence support bound (see candScan): every strategy whose
+// DFS runs on the leftmost set grown by appendGrow — repetitive, closed,
+// compressed and NonOverlapping, whose kernel prune is the same
+// len(I) < MinSupport test — drops events whose bound is below
+// MinSupport. Any other strategy (gapped: its gap-valid end sets can
+// outnumber the parent's instances) lists every extending event.
+func candidateFloor(opt Options) int32 {
+	switch opt.Semantics {
+	case nil, Repetitive, Compressed, NonOverlapping:
+		return int32(opt.MinSupport)
+	}
+	return 0
+}
+
 // repetitiveSemantics is the paper's default, expressed as a strategy.
 // The kernel never dispatches through it (nodeSemantics maps it to nil);
 // it exists so callers can treat all modes uniformly and as the reference

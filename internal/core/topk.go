@@ -52,8 +52,8 @@ func runTopKSearch(ctx context.Context, m *miner, f *topkFrontier, seeds []seq.E
 // extension refutes closure AND is a child of the node, so one growth per
 // candidate covers both the verdict and the expansion.
 //
-// With a non-nil bound (parallel mode), children whose support upper bound
-// min(sup(P), sup(e)) already ranks strictly below the shared k-th-best
+// With a non-nil bound (parallel mode), children whose per-sequence support
+// bound (candidateBounds) already ranks strictly below the shared k-th-best
 // support are skipped before any instance growth — a pruned child costs
 // zero allocations and zero growth work. The bound only tightens, so a
 // skipped child (support strictly below the final k-th-best support) could
@@ -91,15 +91,14 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 	}
 	atCap := maxLen > 0 && len(pattern) >= maxLen
 	if !atCap || (closed && emit) {
-		cands := m.candidates(I)
-		for _, e := range cands {
+		cands, bounds := m.candidateBounds(I)
+		for ci, e := range cands {
 			if atCap && !emit {
 				break // verdict settled; no children are pushed at the cap
 			}
-			ub := supI
-			if t := m.ix.SingletonSupport(e); t < ub {
-				ub = t
-			}
+			// The per-sequence bound Σᵢ min(|Iᵢ|, countᵢ(e)) is at most
+			// min(sup(P), sup(e)) and at least sup(P∘e) (see candScan).
+			ub := int(bounds[ci])
 			// Only an equal-support append extension can refute closure,
 			// and ub < sup(P) already rules that out.
 			needVerdict := closed && emit && ub == supI

@@ -27,6 +27,10 @@
 #   - a missing or unparseable input file                 -> exit 2 with
 #     an explanation (never a green empty comparison: that would silently
 #     disable the gate)
+#   - files recorded at different (or unrecorded) CPU counts -> exit 2:
+#     multi-worker rows clamp to GOMAXPROCS, so their allocs/op and ns/op
+#     are not comparable across counts (a GOMAXPROCS=1 baseline reads
+#     every workers>=2 row as an allocs/op regression on a 2-CPU run)
 #
 # Benchmarks present on only one side are SKIPPED, never failed: a
 # benchmark absent from the baseline is new in this PR (it gets a baseline
@@ -61,6 +65,19 @@ for f in "$OLD" "$NEW"; do
 		exit 2
 	fi
 done
+
+# scripts/bench_smoke.sh pins the CPU count and records it as "cpu".
+cpu_of() {
+	sed -n 's/^  "cpu": \([0-9][0-9]*\),$/\1/p' "$1"
+}
+OLD_CPU="$(cpu_of "$OLD")"
+NEW_CPU="$(cpu_of "$NEW")"
+if [ -z "$OLD_CPU" ] || [ -z "$NEW_CPU" ] || [ "$OLD_CPU" != "$NEW_CPU" ]; then
+	echo "bench_compare: CPU counts differ or are unrecorded: '$OLD' cpu=${OLD_CPU:-unrecorded}, '$NEW' cpu=${NEW_CPU:-unrecorded}." >&2
+	echo "bench_compare: multi-worker rows clamp to GOMAXPROCS, so their numbers are not comparable;" >&2
+	echo "bench_compare: record both files with scripts/bench_smoke.sh, which pins the count." >&2
+	exit 2
+fi
 
 # The JSON is one benchmark object per line (bench_smoke.sh's own output
 # format), so awk can parse it without jq.

@@ -10,6 +10,23 @@
 # recorded, so a single noisy-scheduler outlier cannot trip the blocking
 # CI gate.
 #
+# The CPU count is pinned (go test -cpu, i.e. GOMAXPROCS) and recorded as
+# "cpu" in the JSON: multi-worker rows clamp their worker count to
+# GOMAXPROCS, so their allocs/op and ns/op depend on it, and
+# scripts/bench_compare.sh refuses to compare files recorded at different
+# counts. The iteration count is fixed per group, so allocs/op is the
+# same quotient in every file:
+#   - sequential mining rows run 1 iteration: each takes milliseconds and
+#     allocates the same count every run;
+#   - scheduler-dependent rows (multi-worker mines, and Table1, whose
+#     allocs/op moved 1253..1256 at 1 iteration) run SCHED_ITERS, which
+#     settles Table1 and halves the multi-worker rows' spread;
+#   - append rows run APPEND_ITERS, so one-off costs (directory setup,
+#     first segment, slice growth) amortize below one allocation per op,
+#     five identical runs report the same allocs/op, and one scheduler
+#     hiccup cannot dominate ns/op (at 200 iterations, five InMemoryAppend
+#     runs spread from 1.4 to 6.0 us/op; at 2000, from 2.5 to 2.9).
+#
 # Usage: scripts/bench_smoke.sh [output.json]
 #
 # The default output name is deliberately NOT a committed BENCH_PR<N>.json:
@@ -19,16 +36,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_LOCAL.json}"
-SUITE='Fig2|Table1|TopKParallelScaling|DurableAppend|InMemoryAppend|ReplicaCatchup'
+CPU=2
+SCHED_ITERS=10
+APPEND_ITERS=2000
+MINE_SUITE='Fig2$|ReplicaCatchup'
+SCHED_SUITE='Fig2ParallelScaling|TopKParallelScaling|Table1'
+APPEND_SUITE='DurableAppend|InMemoryAppend'
+SUITE="$MINE_SUITE|$SCHED_SUITE|$APPEND_SUITE"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
+bench() { # regexp iterations
+	go test -run '^$' -bench "$1" -benchtime "$2x" -count=3 -benchmem -cpu "$CPU" | tee -a "$RAW"
+}
 START_NS=$(date +%s%N)
-go test -run '^$' -bench "$SUITE" -benchtime 1x -count=3 -benchmem | tee "$RAW"
+bench "$MINE_SUITE" 1
+bench "$SCHED_SUITE" "$SCHED_ITERS"
+bench "$APPEND_SUITE" "$APPEND_ITERS"
 END_NS=$(date +%s%N)
 WALL_MS=$(((END_NS - START_NS) / 1000000))
 
-awk -v wall_ms="$WALL_MS" -v suite="$SUITE" \
+awk -v wall_ms="$WALL_MS" -v suite="$SUITE" -v cpu="$CPU" \
 	-v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 	-v go_version="$(go env GOVERSION)" '
 function median(arr, cnt,    i, j, tmp) {
@@ -53,7 +81,7 @@ function median(arr, cnt,    i, j, tmp) {
 	}
 }
 END {
-	printf "{\n  \"suite\": \"%s\",\n  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"samples\": 3,\n  \"wall_ms\": %d,\n  \"benchmarks\": [\n", suite, commit, go_version, wall_ms
+	printf "{\n  \"suite\": \"%s\",\n  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": %d,\n  \"samples\": 3,\n  \"wall_ms\": %d,\n  \"benchmarks\": [\n", suite, commit, go_version, cpu, wall_ms
 	for (i = 1; i <= n; i++) {
 		name = order[i]
 		c = cnt[name]
