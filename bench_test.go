@@ -111,6 +111,35 @@ func BenchmarkFig2(b *testing.B) {
 			mineBench(b, ix, core.Options{MinSupport: ms, Closed: true, DiscardPatterns: true})
 		})
 	}
+	// The δ-compressed representatives (CRGSgrow flavour) of the closed
+	// sets above: the closed mine plus Finalize's greedy cover.
+	for _, ms := range []int{10, 8} {
+		b.Run(fmt.Sprintf("Compressed/minsup=%d", ms), func(b *testing.B) {
+			mineBench(b, ix, core.Options{MinSupport: ms, Semantics: core.Compressed, DiscardPatterns: true})
+		})
+	}
+}
+
+// BenchmarkCompressedFinalize times the compressed mode's representative
+// selection alone: Finalize over the merged closed set it receives from
+// the search, at the default δ.
+func BenchmarkCompressedFinalize(b *testing.B) {
+	_, ix := questScaled(b)
+	for _, ms := range []int{10, 8} {
+		opt := core.Options{MinSupport: ms, Semantics: core.Compressed}
+		closed, err := core.Mine(ix, core.Compressed.SearchOptions(core.Options{MinSupport: ms}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("minsup=%d", ms), func(b *testing.B) {
+			b.ReportAllocs()
+			var reps int
+			for i := 0; i < b.N; i++ {
+				reps = core.Compressed.Finalize(ix, opt, closed).NumPatterns
+			}
+			b.ReportMetric(float64(reps), "patterns")
+		})
+	}
 }
 
 // --- Parallel scaling: the Fig2 workload's hardest point (minsup=6) under

@@ -53,11 +53,20 @@
 //     earliest-end matching is provably optimal here (interval
 //     scheduling), so support stays exact and anti-monotone.
 //   - SemanticsCompressed: CRGSgrow's δ-compressed representatives. The
-//     run mines the closed set internally and returns a greedy minimal
-//     subset of representatives such that every closed pattern P has a
-//     representative R with P ⊑ R and sup(R) ≥ (1−δ)·sup(P).
+//     run mines the closed set internally and greedily picks
+//     representatives (greedy set cover: small, not necessarily the
+//     smallest) until every closed pattern P has a representative R
+//     with P ⊑ R and sup(R) ≥ (1−δ)·sup(P).
 //     Options.CompressDelta sets δ (0 means the 0.1 default);
-//     Options.MaxPatterns caps the representative list.
+//     Options.MaxPatterns caps the representative list. Over n closed
+//     patterns the selection costs an O(n log n) sort by support,
+//     subsequence tests only inside each pattern's support window (a
+//     subsequence has at least its support, and a cover at most
+//     1/(1−δ) times it), and a lazy greedy over a heap,
+//     O(Σ|covers| · log n): a heap key is a gain counted earlier, and
+//     gains only fall, so a popped pattern whose recounted gain equals
+//     its key beats every other pattern's current gain under the same
+//     tie-break — exactly the pick a full rescan makes.
 //   - SemanticsGapped: gap-constrained mining — Options.MinGap and
 //     Options.MaxGap bound the gap between consecutive pattern events,
 //     and per-sequence support is a max-flow computation. It runs on the

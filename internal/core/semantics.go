@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/seq"
 )
 
@@ -281,6 +284,20 @@ func (compressedSemantics) SearchOptions(opt Options) Options {
 // identical at every worker count. Every pattern covers itself, so the
 // loop always terminates with full coverage unless MaxPatterns cuts it
 // short (reported as Truncated).
+//
+// Cost, for n closed patterns: an O(n log n) sort by support, then
+// subsequence tests only inside each pattern's support window (see
+// coverLists), then a lazy greedy (Minoux) over a max-heap keyed by
+// (gain, betterRep). A heap key is the pattern's gain when it was last
+// counted; gains only fall as patterns get covered, so a key never
+// understates the current gain. The top's gain is recounted: if
+// unchanged, the top ranks above every other key, hence above every other
+// pattern's current gain under the same tie-break, so it is exactly the
+// pattern a full rescan of all gains would pick; otherwise it is
+// re-sifted with the new gain, or dropped at gain 0. Each re-sift follows a gain drop, so
+// the greedy does O(Σ|covers|) heap operations, O(Σ|covers| · log n),
+// plus one cover-list recount per pop. The picks, their order, the
+// MaxPatterns cut and the OnPattern stop are those of the full rescan.
 func (compressedSemantics) Finalize(ix *seq.Index, opt Options, res *Result) *Result {
 	delta := opt.CompressDelta
 	if delta == 0 {
@@ -289,57 +306,55 @@ func (compressedSemantics) Finalize(ix *seq.Index, opt Options, res *Result) *Re
 	pats := res.Patterns
 	n := len(pats)
 	out := &Result{Stats: res.Stats}
-
-	// Candidate cover lists. The support test is a cheap pre-filter for
-	// the subsequence scan; i covers itself by construction.
-	covers := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if float64(pats[i].Support) < (1-delta)*float64(pats[j].Support) {
-				continue
-			}
-			if len(pats[i].Events) < len(pats[j].Events) {
-				continue
-			}
-			if subseqOf(pats[j].Events, pats[i].Events) {
-				covers[i] = append(covers[i], int32(j))
-			}
+	if n > 0 && !opt.DiscardPatterns {
+		// At most n representatives (fewer under MaxPatterns): one
+		// allocation in place of append's doublings.
+		capacity := n
+		if opt.MaxPatterns > 0 {
+			capacity = min(n, opt.MaxPatterns)
 		}
+		out.Patterns = make([]Pattern, 0, capacity)
 	}
+	order, off, covers := coverLists(pats, delta)
 
+	// gain counts the uncovered patterns in a cover list; covered is
+	// indexed, like the lists, by position in support order.
 	covered := make([]bool, n)
-	chosen := make([]bool, n)
+	gain := func(p int32) int32 {
+		g := int32(0)
+		for _, q := range covers[off[p]:off[p+1]] {
+			if !covered[q] {
+				g++
+			}
+		}
+		return g
+	}
+	h := repHeap{pats: pats, order: order, items: make([]repItem, n)}
+	for p := range h.items {
+		h.items[p] = repItem{gain: off[p+1] - off[p], pos: int32(p)}
+	}
+	h.init()
+
 	numCovered, reps := 0, 0
-	for numCovered < n {
-		best, bestGain := -1, 0
-		for i := 0; i < n; i++ {
-			if chosen[i] {
-				continue
+	for numCovered < n && len(h.items) > 0 {
+		top := &h.items[0]
+		if g := gain(top.pos); g != top.gain {
+			if g == 0 {
+				h.pop()
+			} else {
+				top.gain = g
+				h.down(0)
 			}
-			gain := 0
-			for _, j := range covers[i] {
-				if !covered[j] {
-					gain++
-				}
-			}
-			if gain == 0 {
-				continue
-			}
-			if gain > bestGain || (gain == bestGain && betterRep(pats, i, best)) {
-				best, bestGain = i, gain
-			}
+			continue
 		}
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		for _, j := range covers[best] {
-			if !covered[j] {
-				covered[j] = true
+		best := h.pop().pos
+		for _, q := range covers[off[best]:off[best+1]] {
+			if !covered[q] {
+				covered[q] = true
 				numCovered++
 			}
 		}
-		p := pats[best]
+		p := pats[order[best]]
 		out.NumPatterns++
 		if !opt.DiscardPatterns {
 			out.Patterns = append(out.Patterns, p)
@@ -357,6 +372,113 @@ func (compressedSemantics) Finalize(ix *seq.Index, opt Options, res *Result) *Re
 		}
 	}
 	return out
+}
+
+// coverLists returns the patterns' indices in ascending support order and,
+// for each position p of that order, the positions of the patterns p
+// covers, flat in covers[off[p]:off[p+1]].
+//
+// Repetitive support is anti-monotone, so a subsequence j of i has
+// sup(j) >= sup(i), and the cover test fails once
+// sup(i) < (1-δ)·sup(j): i's candidates lie in the window of positions
+// from the first support >= sup(i) to the first support failing that
+// test. Both window ends only move right as sup(i) grows, so two cursors
+// find them. Inside the window a candidate longer than i, or holding an
+// event bit (event ID mod 64) that i lacks, is rejected before subseqOf.
+func coverLists(pats []Pattern, delta float64) (order, off, covers []int32) {
+	n := len(pats)
+	order = make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Compare(pats[a].Support, pats[b].Support)
+	})
+	mask := make([]uint64, n)
+	for p, i := range order {
+		for _, e := range pats[i].Events {
+			mask[p] |= 1 << (uint32(e) & 63)
+		}
+	}
+	off = make([]int32, n+1)
+	covers = make([]int32, 0, 2*n)
+	lo, hi := 0, 0
+	for p, i := range order {
+		sup := pats[i].Support
+		for pats[order[lo]].Support < sup {
+			lo++
+		}
+		for hi < n && !(float64(sup) < (1-delta)*float64(pats[order[hi]].Support)) {
+			hi++
+		}
+		events := pats[i].Events
+		for q := lo; q < hi; q++ {
+			if len(pats[order[q]].Events) > len(events) || mask[q]&^mask[p] != 0 {
+				continue
+			}
+			if subseqOf(pats[order[q]].Events, events) {
+				covers = append(covers, int32(q))
+			}
+		}
+		off[p+1] = int32(len(covers))
+	}
+	return order, off, covers
+}
+
+// repItem is a candidate representative in the lazy greedy: its position
+// in support order and its gain when last counted.
+type repItem struct {
+	gain, pos int32
+}
+
+// repHeap is a max-heap of candidates under the greedy's order: higher
+// gain first, then betterRep — a strict total order, since the closed
+// patterns are distinct event sequences. It is typed, not a
+// container/heap, so no operation boxes an item.
+type repHeap struct {
+	pats  []Pattern
+	order []int32
+	items []repItem
+}
+
+func (h *repHeap) before(a, b repItem) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	return betterRep(h.pats, int(h.order[a.pos]), int(h.order[b.pos]))
+}
+
+func (h *repHeap) init() {
+	for k := len(h.items)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+}
+
+func (h *repHeap) down(k int) {
+	items := h.items
+	for {
+		c := 2*k + 1
+		if c >= len(items) {
+			return
+		}
+		if c+1 < len(items) && h.before(items[c+1], items[c]) {
+			c++
+		}
+		if !h.before(items[c], items[k]) {
+			return
+		}
+		items[k], items[c] = items[c], items[k]
+		k = c
+	}
+}
+
+func (h *repHeap) pop() repItem {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.down(0)
+	return top
 }
 
 // betterRep is the deterministic tie-break between equal-gain candidate

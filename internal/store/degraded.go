@@ -158,19 +158,15 @@ func (st *Store) healLocked() bool {
 	if err := probeDisk(d.fsys, d.dir); err != nil {
 		return false
 	}
-	// 2. Reopen the log (truncating any torn tail), then drop complete
-	// but unacknowledged frames beyond what the published generation
-	// accounts for — see the package comment above.
+	// 2. Reopen the log keeping exactly the records the published
+	// generation accounts for: one pass finds that record count and
+	// drops everything after it — complete but unacknowledged frames
+	// (see the package comment above) and any torn tail alike.
 	path := d.wal.Path()
 	d.absorbCommitStats() // the handle is being replaced; keep its totals
 	_ = d.wal.Close()     // already poisoned; the sticky error is expected
-	nw, err := wal.Open(path, d.walOpt, nil)
+	nw, err := wal.OpenPrefix(path, d.walOpt, int(st.cur.Load().gen-d.walBase))
 	if err != nil {
-		return false
-	}
-	expected := int(st.cur.Load().gen - d.walBase)
-	if err := nw.TruncateTo(expected); err != nil {
-		nw.Close()
 		return false
 	}
 	d.wal = nw

@@ -161,6 +161,49 @@ func TestHealDropsUnacknowledgedSyncFailedFrame(t *testing.T) {
 	}
 }
 
+// TestHealReadsLiveWALOnce pins the I/O of a heal: after an injected
+// fsync EIO leaves a complete unacknowledged frame behind N acknowledged
+// records, the prober reopens the log and finds record N in one pass —
+// at most 2(N+1) reads of the WAL, two per frame header and payload —
+// rather than replaying the file and then walking it again to truncate.
+func TestHealReadsLiveWALOnce(t *testing.T) {
+	const n = 500
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(vfs.OS)
+	opt := fastProbe
+	opt.FS = ffs
+	opt.CheckpointWALBytes = -1
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < n; i++ {
+		mustAppend(t, st, []Record{{Label: fmt.Sprint("s", i%7), Events: []string{"a", "b"}}}, true)
+	}
+
+	before := countOps(ffs, vfs.OpReadAt, "wal-")
+	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Path: "wal-", At: 0, Err: syscall.EIO})
+	if _, err := st.Append([]Record{{Label: "REJECTED", Events: []string{"b"}}}, false); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("append = %v, want ErrDegraded", err)
+	}
+	waitHealthy(t, st)
+	reads := countOps(ffs, vfs.OpReadAt, "wal-") - before
+	if limit := 2 * (n + 1); reads > limit {
+		t.Errorf("heal over %d records read the WAL %d times, want <= %d", n, reads, limit)
+	}
+	t.Logf("heal over %d records: %d WAL reads", n, reads)
+
+	mustAppend(t, st, []Record{{Label: "AFTER", Events: []string{"a"}}}, false)
+	want := st.Current()
+	st2 := reopen(t, st, Options{})
+	defer st2.Close()
+	assertSameDB(t, st2.Current(), want)
+	if got := st2.Current().DB(); got.NumSequences() != 8 {
+		t.Fatalf("reopened store holds %d sequences, want 8 (7 upserted labels + AFTER)", got.NumSequences())
+	}
+}
+
 func TestProberRetriesFailedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS)

@@ -8,8 +8,8 @@ import (
 )
 
 // Reader is a record-position cursor over a WAL file, and the one
-// decoder of the frame format: Open replays a log through it, ScanFS and
-// TruncateTo walk it, and the replication feed tails a primary's live
+// decoder of the frame format: Open and OpenPrefix replay a log through
+// it, ScanFS walks it, and the replication feed tails a primary's live
 // WAL with it. It hands out records one at a time and can be re-polled
 // after reporting end-of-log, so frames appended after the Reader was
 // opened become visible without reopening.
@@ -104,10 +104,11 @@ func (r *Reader) frame() (payload []byte, short bool, err error) {
 }
 
 // each calls fn (when non-nil) for every intact record ahead of the
-// cursor, stopping cleanly at the first torn, corrupt or unwritten frame.
+// cursor, stopping cleanly at the first torn, corrupt or unwritten frame,
+// or once the cursor has consumed limit records (limit < 0: no limit).
 // fn returning an error stops the walk with that error.
-func (r *Reader) each(fn func(payload []byte) error) error {
-	for {
+func (r *Reader) each(limit int, fn func(payload []byte) error) error {
+	for limit < 0 || r.rec < limit {
 		p, ok, err := r.Next()
 		if !ok || err != nil {
 			return err
@@ -118,6 +119,7 @@ func (r *Reader) each(fn func(payload []byte) error) error {
 			}
 		}
 	}
+	return nil
 }
 
 // Skip advances past the next n records without returning their payloads.

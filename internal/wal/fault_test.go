@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -70,10 +71,11 @@ func TestPartialFrameWriteEveryByteOffset(t *testing.T) {
 	}
 }
 
-// TestTruncateToDropsTail covers the heal primitive directly: TruncateTo
+// TestOpenPrefixDropsTail covers the heal primitive directly: OpenPrefix
 // must leave exactly n records, fsync, and position the log so the next
-// append lands on the new boundary.
-func TestTruncateToDropsTail(t *testing.T) {
+// append lands on the new boundary; at or past the record count it opens
+// the log unchanged.
+func TestOpenPrefixDropsTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-0000000000000001.log")
 	l, err := Open(path, Options{}, nil)
@@ -86,17 +88,36 @@ func TestTruncateToDropsTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.TruncateTo(5); err != nil {
-		t.Fatalf("TruncateTo past end must be a no-op, got %v", err)
+	full := l.Size()
+	l.Close()
+	for _, n := range []int{3, 5} {
+		l, err := OpenPrefix(path, Options{}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Records() != 3 || l.Size() != full {
+			t.Fatalf("OpenPrefix(%d) of 3 records: records=%d size=%d, want 3 and %d", n, l.Records(), l.Size(), full)
+		}
+		l.Close()
 	}
-	if l.Records() != 3 {
-		t.Fatalf("records = %d after no-op truncation", l.Records())
-	}
-	if err := l.TruncateTo(1); err != nil {
+
+	ffs := vfs.NewFaultFS(vfs.OS)
+	l, err = OpenPrefix(path, Options{FS: ffs}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Records() != 1 || l.Size() != int64(frameHeaderSize+len(payloads[0])) {
-		t.Fatalf("after TruncateTo(1): records=%d size=%d", l.Records(), l.Size())
+		t.Fatalf("after OpenPrefix(1): records=%d size=%d", l.Records(), l.Size())
+	}
+	// One record's header and payload are read, the records after it
+	// never, and the truncation is fsynced once.
+	ops := map[string]int{}
+	for _, line := range ffs.Trace() {
+		ops[strings.Fields(line)[0]]++
+	}
+	if ops[vfs.OpReadAt.String()] != 2 || ops[vfs.OpSync.String()] != 1 {
+		t.Fatalf("OpenPrefix(1): %d reads and %d syncs, want 2 and 1: %v",
+			ops[vfs.OpReadAt.String()], ops[vfs.OpSync.String()], ffs.Trace())
 	}
 	if _, err := l.Commit([]byte("replacement")); err != nil {
 		t.Fatal(err)
@@ -115,8 +136,8 @@ func TestTruncateToDropsTail(t *testing.T) {
 		t.Fatalf("replay = %q", got)
 	}
 
-	if err := (&Log{}).TruncateTo(-1); err == nil {
-		t.Fatal("negative truncation accepted")
+	if _, err := OpenPrefix(path, Options{}, -1); err == nil {
+		t.Fatal("negative prefix accepted")
 	}
 }
 

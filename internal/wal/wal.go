@@ -205,24 +205,55 @@ type Log struct {
 // (Records). A torn tail after the prefix is truncated away. An error
 // from replay aborts the open and is returned as is.
 func Open(path string, opt Options, replay func(payload []byte) error) (*Log, error) {
+	return open(path, opt, replay, -1)
+}
+
+// OpenPrefix opens the log at path like Open, but keeps only its first n
+// records: the pass that finds record n stops there, and everything after
+// it is truncated away and fsynced, so record n+1 is never read. With at
+// most n intact records it opens the log as Open does. The store uses it
+// while healing a degraded log: a failed fsync can leave a fully written
+// but never acknowledged frame on disk, and replaying that frame after
+// recovery would advance the snapshot one generation past what the
+// segment/WAL chain accounts for.
+func OpenPrefix(path string, opt Options, n int) (*Log, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("wal: open %s keeping a negative record count %d", path, n)
+	}
+	return open(path, opt, nil, n)
+}
+
+// open is Open (limit < 0) and OpenPrefix (keep the first limit records).
+func open(path string, opt Options, replay func(payload []byte) error, limit int) (*Log, error) {
 	f, err := vfs.Or(opt.FS).OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	r := &Reader{f: f, path: path}
-	if err := r.each(replay); err != nil {
+	if err := r.each(limit, replay); err != nil {
 		f.Close()
 		return nil, err
 	}
+	if limit >= 0 {
+		// The walk may have stopped before the end of the file (at
+		// limit 0, before stating it at all).
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: stat %s: %w", path, err)
+		}
+		r.size = st.Size()
+	}
 	valid := r.off
 	if r.size > valid {
-		// Torn or corrupt tail from a crash mid-write: drop it so the next
-		// frame starts on a clean boundary. Nothing acknowledged lives
-		// there — acknowledgment happens after the full frame write (and,
-		// under SyncAlways, its fsync) returned.
+		// Torn or corrupt tail from a crash mid-write, or records past
+		// the kept prefix: drop it so the next frame starts on a clean
+		// boundary. Nothing acknowledged lives in a torn tail —
+		// acknowledgment happens after the full frame write (and, under
+		// SyncAlways, its fsync) returned.
 		if err := f.Truncate(valid); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+			return nil, fmt.Errorf("wal: truncate tail of %s: %w", path, err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
@@ -293,51 +324,6 @@ func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
-}
-
-// TruncateTo discards every record after the first n, leaving exactly n
-// records, and fsyncs the truncation. The store uses it while healing a
-// degraded log: a failed fsync can leave a fully written but never
-// acknowledged frame on disk, and replaying that frame after recovery
-// would advance the snapshot one generation past what the segment/WAL
-// chain accounts for.
-func (l *Log) TruncateTo(n int) error {
-	if n < 0 {
-		return fmt.Errorf("wal: truncate to negative record count %d", n)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if l.f == nil {
-		return ErrClosed
-	}
-	if n >= l.recs {
-		return nil
-	}
-	// Walk the first n records to find the byte offset where record n+1
-	// starts; everything from there on is dropped.
-	r := &Reader{f: l.f, path: l.path}
-	if err := r.Skip(n); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	off := r.off
-	if err := l.f.Truncate(off); err != nil {
-		l.err = fmt.Errorf("wal: truncate: %w", err)
-		return l.err
-	}
-	l.dirty = true
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		l.err = fmt.Errorf("wal: seek: %w", err)
-		return l.err
-	}
-	l.size.Store(off)
-	l.recs = n
-	return nil
 }
 
 // Commit writes one record and returns its 1-based record number within
@@ -492,7 +478,7 @@ func ScanFS(fsys vfs.FS, path string, fn func(payload []byte) error) (records in
 		return 0, 0, false, err
 	}
 	defer r.Close()
-	if err := r.each(fn); err != nil {
+	if err := r.each(-1, fn); err != nil {
 		return r.rec, r.off, false, err
 	}
 	return r.rec, r.off, r.size > r.off, nil

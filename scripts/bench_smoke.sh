@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark smoke run: the Fig2 min_sup sweep, the parallel-scaling sweeps
+# Benchmark smoke run: the Fig2 min_sup sweep (with its compressed rows
+# and the compressed mode's Finalize alone), the parallel-scaling sweeps
 # and the Table 1 semantics check, emitted as BENCH_PR<N>.json with
 # per-benchmark pattern counts, ns/op, B/op and allocs/op plus total wall
 # time. This is the repo's perf trajectory: each PR emits BENCH_PR<N>.json
@@ -39,7 +40,7 @@ OUT="${1:-BENCH_LOCAL.json}"
 CPU=2
 SCHED_ITERS=10
 APPEND_ITERS=2000
-MINE_SUITE='Fig2$|ReplicaCatchup'
+MINE_SUITE='Fig2$|CompressedFinalize|ReplicaCatchup'
 SCHED_SUITE='Fig2ParallelScaling|TopKParallelScaling|Table1'
 APPEND_SUITE='DurableAppend|InMemoryAppend'
 SUITE="$MINE_SUITE|$SCHED_SUITE|$APPEND_SUITE"
