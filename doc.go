@@ -243,7 +243,7 @@
 // at least the threshold. The bound applies in the repetitive, closed,
 // compressed and nonoverlap modes, which grow the same leftmost sets, but
 // not under gapped, whose gap-valid end sets can outnumber their parent's
-// instances; top-k uses it as each child's support upper bound. It has no
+// instances; top-k keys each ungrown child by it in its frontier. It has no
 // switch and never changes output: on Quest D1C20N1S20 at min_sup 10 it
 // cuts an all-patterns mine from 149,298 instance growths to 2,441.
 //
@@ -264,11 +264,18 @@
 //
 // Top-k memory is bounded by the peak live frontier, not by the number
 // of nodes ever explored: frontier entries are parent-pointer nodes in
-// a recycled block arena, a child's instance set is only materialized
-// when the child is popped, and children whose support upper bound
-// cannot beat the current k-th best are discarded before allocation.
-// Result.TopKFrontierPeak and TopKArenaBytes report the high-water
-// numbers per run.
+// a recycled block arena, and children whose support upper bound cannot
+// beat the current k-th best are discarded before allocation. A child is
+// grown only if the search pops it: it waits in the frontier keyed by
+// its per-sequence support bound, and a popped child whose support turns
+// out lower goes back in at its support, so the pop order — and the
+// output — is the one exact supports give. Result.TopKFrontierPeak and
+// TopKArenaBytes report the high-water numbers per run.
+//
+// Every search starts a branch at a size-1 pattern's support set, which
+// the inverted index builds from a per-event list of the sequences that
+// contain the event (built once per index, on first use), not by probing
+// every sequence.
 //
 // Workers helps when the mine is substantial (milliseconds and up) and
 // the machine has idle cores; it only adds scheduling overhead on tiny

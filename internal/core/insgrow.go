@@ -139,14 +139,10 @@ func singletonSet(ix *seq.Index, e seq.EventID) Set {
 }
 
 // appendSingleton appends every occurrence of e to dst, in right-shift
-// order — singletonSet over a caller-owned (arena) buffer.
+// order — singletonSet over a caller-owned (arena) buffer. It visits only
+// the sequences that contain e (the index's per-event sequence list).
 func appendSingleton(dst Set, ix *seq.Index, e seq.EventID) Set {
-	for i := 0; i < ix.DB().NumSequences(); i++ {
-		for _, pos := range ix.Positions(i, e) {
-			dst = append(dst, Inst{Seq: int32(i), First: pos, Last: pos})
-		}
-	}
-	return dst
+	return appendSingletonIn(dst, ix, e, ix.SequencesOf(e))
 }
 
 // appendSingletonIn appends the occurrences of e restricted to the given
@@ -202,9 +198,9 @@ func insGrowFull(ix *seq.Index, I FullSet, e seq.EventID) FullSet {
 // size-1 pattern e.
 func singletonFullSet(ix *seq.Index, e seq.EventID) FullSet {
 	out := make(FullSet, 0, ix.SingletonSupport(e))
-	for i := 0; i < ix.DB().NumSequences(); i++ {
-		for _, pos := range ix.Positions(i, e) {
-			out = append(out, Instance{Seq: int32(i), Land: []int32{pos}})
+	for _, i := range ix.SequencesOf(e) {
+		for _, pos := range ix.Positions(int(i), e) {
+			out = append(out, Instance{Seq: i, Land: []int32{pos}})
 		}
 	}
 	return out

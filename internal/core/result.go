@@ -31,7 +31,8 @@ type MineStats struct {
 	// (frequent patterns considered, whether or not emitted).
 	NodesVisited int
 	// INSgrowCalls counts instance-growth invocations during pattern
-	// growth (not counting closure-check chains).
+	// growth (not counting closure-check chains). Top-k counts every
+	// growth it performs, including the prefix chain each pop re-grows.
 	INSgrowCalls int
 	// ClosureChainGrowths counts instance-growth steps spent inside
 	// closure checking (insertion/prepend chains).

@@ -21,7 +21,7 @@ func runTopKSearch(ctx context.Context, m *miner, f *topkFrontier, seeds []seq.E
 	for _, e := range seeds {
 		// SingletonSupport is exactly the size-1 pattern's support, so
 		// seeds need no instance-set materialization at all.
-		f.pushChild(nil, e, m.ix.SingletonSupport(e))
+		f.pushChild(nil, e, m.ix.SingletonSupport(e), false)
 	}
 	tick := 0
 	for f.len() > 0 && m.res.NumPatterns < k {
@@ -31,7 +31,11 @@ func runTopKSearch(ctx context.Context, m *miner, f *topkFrontier, seeds []seq.E
 		}
 		n := f.pop()
 		pattern := f.reconstruct(n)
-		if m.visitTopKNode(f, n, pattern, closed, maxLen, nil) {
+		visited, emit := m.visitTopKNode(f, n, pattern, closed, maxLen, nil)
+		if !visited {
+			continue
+		}
+		if emit {
 			m.res.NumPatterns++
 			ev := make([]seq.EventID, len(pattern))
 			copy(ev, pattern)
@@ -45,45 +49,70 @@ func runTopKSearch(ctx context.Context, m *miner, f *topkFrontier, seeds []seq.E
 
 // visitTopKNode performs the per-pop work shared by the sequential and the
 // sharded best-first searches: re-grow the popped pattern's prefix support
-// chain, run the closure check in closed mode, and expand the node's
-// children into f — expansion happens regardless of closedness, because
-// closed descendants can hide under non-closed nodes (Example 3.5). The
-// append-extension growths serve double duty: an equal-support append
-// extension refutes closure AND is a child of the node, so one growth per
-// candidate covers both the verdict and the expansion.
+// chain, settle a bound-only node's key, run the closure check in closed
+// mode, and push the node's children into f — expansion happens
+// regardless of closedness, because closed descendants can hide under
+// non-closed nodes (Example 3.5).
 //
-// With a non-nil bound (parallel mode), children whose per-sequence support
-// bound (candidateBounds) already ranks strictly below the shared k-th-best
-// support are skipped before any instance growth — a pruned child costs
-// zero allocations and zero growth work. The bound only tightens, so a
-// skipped child (support strictly below the final k-th-best support) could
-// never have been emitted or repositioned a survivor: output stays
-// byte-identical to the sequential pop order.
+// Children are not grown here. Each waits in the frontier keyed by its
+// per-sequence support bound Σᵢ min(|Iᵢ|, countᵢ(e)) (candidateBounds), an
+// upper bound on its support, flagged bound-only; its support set is
+// grown when it is popped, by the prefix re-grow every pop performs
+// anyway. Pop order stays the eager search's order, (exact support desc,
+// pattern lex asc): every key is at least its node's exact support and
+// the lex part of a key never changes, so when a node whose key equals its
+// exact support reaches the top, everything behind it — and every
+// descendant of those nodes, whose support is no larger and whose
+// pattern is lexically later — ranks after it in that order. A popped
+// bound-only node whose exact support is below its key is re-keyed and
+// pushed back (or dropped at support 0, or continued at once when it
+// still ranks first) without being checked, expanded, emitted or counted.
 //
-// It reports whether the node is a (closed) pattern the caller should emit.
-func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventID, closed bool, maxLen int, bound *topkBound) bool {
-	m.pattern = append(m.pattern[:0], pattern...)
-	m.enterNode()
-	// Re-grow the prefix support-set chain (and, in closed mode, the
-	// candidate stack) that growClosed would have on its DFS stack: the
-	// last chain entry is this pattern's leftmost support set.
+// The exception is closed mode's equal-support append extensions: a child
+// whose bound equals sup(P) may refute the node's closure (ub < sup(P)
+// rules that out), so it is grown at once, and pushed with its exact
+// support. One growth per such candidate serves both the verdict and the
+// expansion.
+//
+// With a non-nil bound (parallel mode), a child whose bound already ranks
+// strictly below the shared k-th-best support is not pushed at all, and a
+// settled node that ranks after the k-th best candidate is dropped. The
+// bound only tightens, so neither could ever have been emitted or
+// repositioned a survivor: output stays byte-identical to the sequential
+// pop order.
+//
+// visited is false when n was re-keyed or dropped: the caller must then
+// neither emit nor recycle it. Otherwise emit reports whether n is a
+// (closed) pattern the caller should emit.
+func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventID, closed bool, maxLen int, bound *topkBound) (visited, emit bool) {
+	// Re-grow the prefix support-set chain that growClosed would have on
+	// its DFS stack: the last chain entry is this pattern's leftmost
+	// support set.
 	cur := appendSingleton(m.getSet(m.ix.SingletonSupport(pattern[0])), m.ix, pattern[0])
 	m.chain = append(m.chain[:0], cur)
-	m.candStack = m.candStack[:0]
 	for j := 1; j < len(pattern); j++ {
-		if closed {
-			m.candStack = append(m.candStack, m.candidates(cur))
-		}
+		m.res.Stats.INSgrowCalls++
 		cur = appendGrow(m.getSet(len(cur)), m.ix, cur, pattern[j])
 		m.chain = append(m.chain, cur)
 	}
 	I := cur
 	supI := len(I)
+	if n.bound && !f.settle(n, supI, pattern, bound) {
+		m.releaseChain()
+		return false, false
+	}
+	m.pattern = append(m.pattern[:0], pattern...)
+	m.enterNode()
 	// The memo is path-scoped and best-first search has no DFS path:
 	// revert whatever this pop's closure check records before returning.
 	memoMark := len(m.memoLog)
-	emit := true
+	emit = true
 	if closed {
+		// The closure check reads the candidate list of every proper
+		// prefix, as the DFS keeps them on its stack.
+		for _, s := range m.chain[:len(m.chain)-1] {
+			m.candStack = append(m.candStack, m.candidates(s))
+		}
 		m.res.Stats.ClosureChecks++
 		if equal, _ := m.checkNonAppend(I); equal {
 			emit = false
@@ -106,21 +135,35 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 				continue
 			}
 			if bound != nil && !needVerdict && bound.supBelow(ub) {
-				continue // zero-allocation prune
+				continue // prune before the child even exists
+			}
+			if !needVerdict {
+				f.pushChild(n, e, ub, true)
+				continue
 			}
 			m.res.Stats.INSgrowCalls++
 			I2 := appendGrow(m.getSet(supI), m.ix, I, e)
-			if needVerdict && len(I2) == supI {
+			if len(I2) == supI {
 				emit = false
 			}
 			if !atCap && len(I2) > 0 && (bound == nil || !bound.supBelow(len(I2))) {
-				f.pushChild(n, e, len(I2))
+				f.pushChild(n, e, len(I2), false)
 			}
 			m.putSet(I2)
 		}
 		m.putCands(cands)
 	}
 	m.memoRevert(memoMark)
+	m.releaseChain()
+	if !emit {
+		m.res.Stats.NonClosedSkipped++
+	}
+	return true, emit
+}
+
+// releaseChain returns the re-grown prefix chain and its candidate lists
+// to the miner's pools.
+func (m *miner) releaseChain() {
 	for _, s := range m.chain {
 		m.putSet(s)
 	}
@@ -129,10 +172,6 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 		m.putCands(c)
 	}
 	m.candStack = m.candStack[:0]
-	if !emit {
-		m.res.Stats.NonClosedSkipped++
-	}
-	return emit
 }
 
 // MineTopKParallel returns the k highest-support (closed) patterns without
@@ -148,12 +187,15 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 // threshold, so small k on heavy-tailed data is cheap.
 //
 // The frontier is arena-backed: nodes live in blocks carved from a
-// per-search allocator and store only (parent, last event, support), so a
+// per-search allocator and store only (parent, last event, key), so a
 // frontier entry costs tens of bytes instead of a pattern copy plus an
-// instance-set copy. A node's support set is re-grown from the index when
-// the node is popped (closed mode re-grows the prefix chain anyway for the
-// closure check, so the expansion rides on it for free), and popped or
-// pruned nodes return to a free list once their last child is gone.
+// instance-set copy. A child is pushed ungrown, keyed by its per-sequence
+// support bound; its support set is grown only when it is popped, by the
+// prefix re-grow every pop performs for the closure check and the
+// expansion. A popped child whose support is below its key goes back in
+// at its support (see visitTopKNode), so nodes are visited in the order
+// exact supports would give. Popped or pruned nodes return to a free list
+// once their last child is gone.
 //
 // workers <= 1 (or a GOMAXPROCS clamp down to 1) runs that search on one
 // goroutine. When ctx is done, it stops and the patterns emitted so far
@@ -173,8 +215,10 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 // frontier node that ranks after the current k-th best candidate can be
 // discarded together with its whole subtree — and since each shard's heap
 // pops best-first, the first prunable pop empties that worker's entire
-// frontier. The same bound pre-prunes children at push time, before their
-// instance sets are grown. The final merge sorts the surviving candidates
+// frontier. The same bound prunes children at push time, by their support
+// bound. Both tests stay sound on a key that is only an upper bound: the
+// exact support is no larger and the pattern the same, so the node ranks
+// no earlier than its key. The final merge sorts the surviving candidates
 // by (support desc, pattern lex asc) — the sequential pop order — so the
 // result is byte-identical to the single-worker search for any worker
 // count and any steal/schedule timing.
@@ -230,7 +274,7 @@ func MineTopKParallel(ctx context.Context, v IndexView, k int, closed bool, maxL
 	}
 	for i, si := range order {
 		e := seeds[si]
-		fronts[i%workers].pushChild(nil, e, ix.SingletonSupport(e))
+		fronts[i%workers].pushChild(nil, e, ix.SingletonSupport(e), false)
 	}
 
 	bound := newTopkBound(k)
@@ -256,7 +300,11 @@ func MineTopKParallel(ctx context.Context, v IndexView, k int, closed bool, maxL
 					// below it, nor any descendant. The shard is done.
 					break
 				}
-				if m.visitTopKNode(f, n, pattern, closed, maxLen, bound) {
+				visited, emit := m.visitTopKNode(f, n, pattern, closed, maxLen, bound)
+				if !visited {
+					continue
+				}
+				if emit {
 					bound.offer(pattern, int(n.sup))
 				}
 				f.recycle(n)
@@ -296,11 +344,15 @@ var topkNodeSize = int64(unsafe.Sizeof(topkNode{}))
 type topkNode struct {
 	parent   *topkNode
 	nextFree *topkNode // free-list link, meaningful only while freed
-	sup      int32     // exact support (computed at push time)
-	depth    int32     // pattern length
-	kids     int32     // live children keeping this node's chain reachable
-	event    seq.EventID
-	popped   bool
+	// sup is the heap key: the exact support, or, while bound is set, the
+	// per-sequence support bound the node was pushed with (never below
+	// the exact support).
+	sup    int32
+	depth  int32 // pattern length
+	kids   int32 // live children keeping this node's chain reachable
+	event  seq.EventID
+	popped bool
+	bound  bool // sup is an upper bound; the exact support is not known yet
 }
 
 // topkFrontier is one best-first heap plus the arena and free list backing
@@ -384,18 +436,44 @@ func (f *topkFrontier) recycle(n *topkNode) {
 }
 
 // pushChild allocates and pushes the child of parent (nil for seeds)
-// reached by event e, with the given exact support.
-func (f *topkFrontier) pushChild(parent *topkNode, e seq.EventID, sup int) {
+// reached by event e, keyed by sup: its exact support, or an upper bound
+// on it when bound is set.
+func (f *topkFrontier) pushChild(parent *topkNode, e seq.EventID, sup int, bound bool) {
 	n := f.alloc()
 	n.parent = parent
 	n.event = e
 	n.sup = int32(sup)
+	n.bound = bound
 	n.depth = 1
 	if parent != nil {
 		n.depth = parent.depth + 1
 		parent.kids++
 	}
 	f.push(n)
+}
+
+// settle gives a popped bound-only node its exact support sup and reports
+// whether the caller should visit it now: when the key was exact already,
+// or when the re-keyed node still ranks before the heap's top (a push
+// would pop it straight back). Otherwise it is pushed back at its exact
+// support, or released when it has no instance at all or (sharded
+// search) ranks after the bound's k-th best candidate. pattern is n's
+// reconstructed pattern.
+func (f *topkFrontier) settle(n *topkNode, sup int, pattern []seq.EventID, bound *topkBound) bool {
+	n.bound = false
+	if int(n.sup) == sup {
+		return true
+	}
+	n.sup = int32(sup)
+	if sup == 0 || (bound != nil && bound.ranksAfter(sup, pattern)) {
+		f.recycle(n) // never expanded, so no children pin it
+		return false
+	}
+	if f.len() == 0 || f.less(n, f.heap[0]) {
+		return true
+	}
+	f.push(n)
+	return false
 }
 
 // arenaBytes reports the node-arena footprint (current blocks; reset keeps
@@ -416,7 +494,9 @@ func (f *topkFrontier) reconstruct(n *topkNode) []seq.EventID {
 func appendNodePattern(dst []seq.EventID, n *topkNode) []seq.EventID {
 	d := int(n.depth)
 	if cap(dst) < d {
-		dst = make([]seq.EventID, d)
+		// Grow geometrically: the scratch buffers see ever longer
+		// patterns as the search deepens.
+		dst = make([]seq.EventID, d, max(d, 2*cap(dst), 8))
 	} else {
 		dst = dst[:d]
 	}
@@ -517,7 +597,10 @@ func newTopkBound(k int) *topkBound {
 
 // supBelow reports whether a support value ranks strictly below the k-th
 // best candidate's support — an upper bound that low proves a subtree can
-// never reach the top k, with no pattern comparison needed.
+// never reach the top k, with no pattern comparison needed. Callers pass
+// exact supports or upper bounds on them (a child's per-sequence bound, a
+// bound-only node's key); either way every pattern of the subtree has
+// support at most sup.
 func (b *topkBound) supBelow(sup int) bool {
 	w := b.worstSup.Load()
 	return w >= 0 && int64(sup) < w
@@ -526,7 +609,9 @@ func (b *topkBound) supBelow(sup int) bool {
 // ranksAfter reports whether a frontier node with the given support and
 // pattern ranks after the current k-th best candidate — in which case the
 // node and its entire subtree (support can only drop, patterns only grow
-// lexicographically later) are irrelevant.
+// lexicographically later) are irrelevant. sup may be a bound-only node's
+// key: the node's exact support is at most the key and its pattern is
+// the one given, so it ranks no earlier than (key, pattern) does.
 func (b *topkBound) ranksAfter(sup int, pattern []seq.EventID) bool {
 	w := b.worstSup.Load()
 	if w < 0 || int64(sup) > w {

@@ -63,12 +63,12 @@ func (s Semantics) validate() error {
 // Name is the wire/flag name of the semantics.
 func (Semantics) Name() string { return "gapped" }
 
-// Singleton appends every occurrence of e: a single-event instance has no
-// gap to respect.
+// Singleton appends every occurrence of e, visiting only the sequences
+// that contain it: a single-event instance has no gap to respect.
 func (Semantics) Singleton(dst core.Set, ix *seq.Index, e seq.EventID) core.Set {
-	for i := 0; i < ix.DB().NumSequences(); i++ {
-		for _, p := range ix.Positions(i, e) {
-			dst = append(dst, core.Inst{Seq: int32(i), Last: p})
+	for _, i := range ix.SequencesOf(e) {
+		for _, p := range ix.Positions(int(i), e) {
+			dst = append(dst, core.Inst{Seq: i, Last: p})
 		}
 	}
 	return dst

@@ -55,6 +55,7 @@ func indexesEqual(t *testing.T, db *DB, want, got *Index) {
 			}
 		}
 	}
+	seqsOfMatchesScan(t, db, got)
 }
 
 func TestExtendAppendSequencesMatchesFreshBuild(t *testing.T) {

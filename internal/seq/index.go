@@ -1,6 +1,9 @@
 package seq
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // IndexOptions tunes index construction.
 type IndexOptions struct {
@@ -31,11 +34,15 @@ const DefaultFastNextMemBudget int64 = 256 << 20
 // contiguous header instead of chasing parallel slice-of-slices.
 type seqTab struct {
 	// events lists the distinct events of the sequence in ascending
-	// EventID order; lists[k], last[k] and count[k] are the ascending
+	// EventID order; list(k), last[k] and count[k] are the ascending
 	// 1-based positions, the largest position, and the occurrence count
-	// of events[k].
+	// of events[k]. lists starts with len(events)+1 offsets into itself,
+	// followed by every position list: events[k]'s positions are
+	// lists[lists[k]:lists[k+1]]. last, count and lists share one backing
+	// array. (One slice for offsets and positions keeps the header small:
+	// Extend copies one header per sequence.)
 	events []EventID
-	lists  [][]int32
+	lists  []int32
 	last   []int32
 	count  []int32
 	// slot maps an EventID to its index in events, or -1.
@@ -67,6 +74,13 @@ type Index struct {
 	// opt records the build options so Extend reproduces the same
 	// FastNext/budget policy across generations.
 	opt IndexOptions
+	// The per-event sequence lists in CSR form: the sequences containing
+	// e are seqsOf[seqsStart[e]:seqsStart[e+1]], ascending. Built once, on
+	// the first SequencesOf call (never by NewIndexWith or Extend, so an
+	// extension stays O(delta)); Σ(distinct events per sequence) int32s.
+	seqsOnce  sync.Once
+	seqsStart []int32
+	seqsOf    []int32
 }
 
 // NewIndex builds the inverted event index for db with binary-search Next
@@ -127,26 +141,28 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 	for k, e := range evs {
 		slot[e] = int32(k)
 	}
-	// One backing array holds the last and count columns and every
-	// position list, so a sequence costs a fixed handful of allocations
-	// however many distinct events it has.
-	buf := make([]int32, 2*len(evs)+len(s))
-	last, count, positions := buf[:len(evs):len(evs)], buf[len(evs):2*len(evs):2*len(evs)], buf[2*len(evs):]
+	// One backing array holds the last, count and offset columns and
+	// every position list, so a sequence costs a fixed handful of
+	// allocations however many distinct events it has.
+	n := len(evs)
+	buf := make([]int32, 3*n+1+len(s))
+	last, count, lists := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for _, e := range s {
 		count[slot[e]]++
 	}
-	lists := make([][]int32, len(evs))
-	off := int32(0)
+	lists[0] = int32(n + 1)
 	for k, c := range count {
-		lists[k] = positions[off : off : off+c]
-		off += c
+		lists[k+1] = lists[k] + c
 	}
-	for pos, e := range s {
+	next := last // write cursors; last is filled in after
+	copy(next, lists[:n])
+	for p, e := range s {
 		k := slot[e]
-		lists[k] = append(lists[k], int32(pos+1))
+		lists[next[k]] = int32(p + 1)
+		next[k]++
 	}
-	for k, list := range lists {
-		last[k] = list[len(list)-1]
+	for k := range last {
+		last[k] = lists[lists[k+1]-1]
 	}
 	t.events = evs
 	t.lists = lists
@@ -158,10 +174,17 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 	if ix.opt.FastNext {
 		bytes := int64(len(evs)) * int64(len(s)+1) * 4
 		if budget := ix.fastNextBudget(); budget < 0 || ix.succBytes+bytes <= budget {
-			t.succ = buildSuccTable(len(s), lists)
+			t.succ = buildSuccTable(len(s), t)
 			ix.succBytes += bytes
 		}
 	}
+}
+
+// list returns the ascending positions of events[k], capacity-clipped so
+// an append can never write into the next event's list.
+func (t *seqTab) list(k int32) []int32 {
+	lo, hi := t.lists[k], t.lists[k+1]
+	return t.lists[lo:hi:hi]
 }
 
 // Extend builds the index of db incrementally from ix: the work is the
@@ -181,7 +204,9 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 // spent by inherited tables count against the budget, a changed sequence
 // releases its old table's bytes before the rebuilt table is charged, and a
 // new table is allocated only while the cumulative total still fits —
-// matching NewIndexWith's greedy in-order policy. ix itself is not
+// matching NewIndexWith's greedy in-order policy. The per-event sequence
+// lists are not carried over: they span every sequence, so the new index
+// builds its own on its first SequencesOf call. ix itself is not
 // modified; both indexes stay valid, which is what lets an immutable
 // snapshot lineage share storage.
 func (ix *Index) Extend(db *DB, changed []int) *Index {
@@ -224,10 +249,11 @@ func (ix *Index) MiningIndex() *Index { return ix }
 // buildSuccTable fills the column-major successor matrix for one sequence:
 // for each distinct-event slot k and position p in [0, seqLen], the smallest
 // listed position > p, or -1. O(K·L) time.
-func buildSuccTable(seqLen int, lists [][]int32) []int32 {
+func buildSuccTable(seqLen int, t *seqTab) []int32 {
 	rows := seqLen + 1
-	succ := make([]int32, len(lists)*rows)
-	for k, list := range lists {
+	succ := make([]int32, len(t.events)*rows)
+	for k := range t.events {
+		list := t.list(int32(k))
 		col := succ[k*rows : (k+1)*rows]
 		ptr := len(list) - 1
 		next := int32(-1)
@@ -275,7 +301,7 @@ func (ix *Index) Next(i int, e EventID, lowest int32) int32 {
 		}
 		return t.succ[k*t.rows+lowest]
 	}
-	list := t.lists[k]
+	list := t.list(k)
 	// Binary search for the first element > lowest.
 	lo, hi := 0, len(list)
 	for lo < hi {
@@ -324,7 +350,51 @@ func (ix *Index) Positions(i int, e EventID) []int32 {
 	if k < 0 {
 		return nil
 	}
-	return t.lists[k]
+	return t.list(k)
+}
+
+// SequencesOf returns the ascending indices of the sequences that contain
+// e: the per-event view of the inverted index, so building the support
+// set of a size-1 pattern visits only those sequences instead of all N.
+// The lists of every event are built together on the first call (safe
+// for concurrent use). The returned slice is shared with the index and
+// must not be modified.
+func (ix *Index) SequencesOf(e EventID) []int32 {
+	ix.seqsOnce.Do(ix.buildSeqsOf)
+	if int(e) < 0 || int(e)+1 >= len(ix.seqsStart) {
+		return nil
+	}
+	return ix.seqsOf[ix.seqsStart[e]:ix.seqsStart[e+1]]
+}
+
+// buildSeqsOf fills the CSR per-event sequence lists from the
+// per-sequence distinct-event lists in one allocation: count each event's
+// sequences, turn the counts into list ends, then walk the sequences
+// backwards, writing each one just before its events' ends, which leaves
+// every end at its list's start. O(N + |E| + Σ distinct events).
+func (ix *Index) buildSeqsOf() {
+	total := 0
+	for i := range ix.seqs {
+		total += len(ix.seqs[i].events)
+	}
+	nEvents := len(ix.total)
+	buf := make([]int32, nEvents+1+total)
+	start, of := buf[:nEvents+1:nEvents+1], buf[nEvents+1:]
+	for i := range ix.seqs {
+		for _, e := range ix.seqs[i].events {
+			start[e]++
+		}
+	}
+	for e := 1; e <= nEvents; e++ {
+		start[e] += start[e-1]
+	}
+	for i := len(ix.seqs) - 1; i >= 0; i-- {
+		for _, e := range ix.seqs[i].events {
+			start[e]--
+			of[start[e]] = int32(i)
+		}
+	}
+	ix.seqsStart, ix.seqsOf = start, of
 }
 
 // Events returns the distinct events of sequence i in ascending ID order.

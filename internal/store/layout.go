@@ -267,6 +267,15 @@ func (c *ChainReader) Pending() (uint64, error) {
 	return n, nil
 }
 
+// Refresh drops the bytes read ahead of the reader's position (see
+// wal.Reader.Refresh). A reader tailing a live chain calls it before each
+// round of reading the records acknowledged since the last round.
+func (c *ChainReader) Refresh() {
+	if c.rd != nil {
+		c.rd.Refresh()
+	}
+}
+
 // Close releases the file the reader holds open.
 func (c *ChainReader) Close() error {
 	if c.rd == nil {

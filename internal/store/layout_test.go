@@ -22,11 +22,13 @@ func countOps(ffs *vfs.FaultFS, op vfs.Op, sub string) int {
 }
 
 // TestOpenReadsLiveWALOnce pins the I/O of recovery: Open replays the
-// live WAL through the handle it keeps, so over N records it opens the
-// file once and performs at most 2N+16 filesystem operations (two reads
-// per record plus a constant).
+// live WAL through the handle it keeps, reading it in 64 KiB blocks, so
+// over a WAL of B bytes it opens the file once and performs at most
+// 8 + B/32KiB filesystem operations (a constant plus one read per block,
+// with room for blocks that end early at a frame boundary) however many
+// records the WAL holds.
 func TestOpenReadsLiveWALOnce(t *testing.T) {
-	for _, n := range []int{10, 100, 1000} {
+	for _, n := range []int{10, 100, 1000, 5000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			dir := t.TempDir()
 			st, err := Open(dir, Options{SyncPolicy: wal.SyncNever, CheckpointWALBytes: -1})
@@ -52,11 +54,58 @@ func TestOpenReadsLiveWALOnce(t *testing.T) {
 			if opens := countOps(ffs, vfs.OpOpenFile, "wal-") + countOps(ffs, vfs.OpOpen, "wal-"); opens != 1 {
 				t.Errorf("live WAL opened %d times, want once", opens)
 			}
-			if limit := 2*n + 16; ops > limit {
-				t.Errorf("Open over %d records: %d ops, want <= %d", n, ops, limit)
+			l, err := listDir(vfs.OS, dir)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("Open over %d records: %d ops", n, ops)
+			var walBytes int64
+			for _, w := range l.wals {
+				walBytes += w.size
+			}
+			if limit := 8 + int(walBytes>>15); ops > limit {
+				t.Errorf("Open over %d records (%d WAL bytes): %d ops, want <= %d", n, walBytes, ops, limit)
+			}
+			t.Logf("Open over %d records (%d WAL bytes): %d ops", n, walBytes, ops)
 		})
+	}
+}
+
+// TestChainReaderSeesGrowthBetweenPolls: a chain reader that reached the
+// live tail picks up records appended after that, poll after poll, in
+// read-ahead blocks rather than reads per record.
+func TestChainReaderSeesGrowthBetweenPolls(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SyncPolicy: wal.SyncNever, CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ffs := vfs.NewFaultFS(vfs.OS)
+	c := NewChainReader(ffs, dir, 2)
+	defer c.Close()
+	gen := 1
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 200; i++ {
+			mustAppend(t, st, []Record{{Label: fmt.Sprint("r", round, "-", i), Events: []string{"a", "b"}}}, false)
+		}
+		c.Refresh()
+		for i := 0; i < 200; i++ {
+			p, ok, err := c.Next()
+			if !ok || err != nil {
+				t.Fatalf("round %d record %d: ok=%v err=%v", round, i, ok, err)
+			}
+			gen++
+			recs, _, err := decodeBatch(p)
+			if err != nil || len(recs) != 1 || recs[0].Label != fmt.Sprint("r", round, "-", i) {
+				t.Fatalf("round %d record %d: %v %v", round, i, recs, err)
+			}
+		}
+		if _, ok, err := c.Next(); ok || err != nil {
+			t.Fatalf("round %d past the tail: ok=%v err=%v", round, ok, err)
+		}
+	}
+	if reads := countOps(ffs, vfs.OpReadAt, "wal-"); reads > 12 {
+		t.Fatalf("%d reads for %d records in 4 polls, want at most 12", reads, gen-1)
 	}
 }
 

@@ -2,10 +2,17 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/vfs"
 )
+
+// readAhead is the least a Reader reads from its file at once: frames
+// are decoded out of one reusable block buffer, so replaying N small
+// records costs about N·frameSize/readAhead reads instead of 2N.
+const readAhead = 64 << 10
 
 // Reader is a record-position cursor over a WAL file, and the one
 // decoder of the frame format: Open and OpenPrefix replay a log through
@@ -16,7 +23,9 @@ import (
 //
 // The cursor caches the file size and re-states it only when the next
 // frame runs past the cached size: reading N records already on disk
-// costs one Stat, not N.
+// costs one Stat, not N. It reads the file in blocks of at least
+// readAhead bytes (never past the cached size) and decodes frames from
+// the block, refilling it from the cursor when a frame runs past its end.
 //
 // A Reader never trusts a partially visible frame: a frame whose header,
 // body, or CRC does not fully check out against the file size is
@@ -31,8 +40,9 @@ type Reader struct {
 	size int64 // file size as last stated
 	off  int64 // byte offset of the next frame header
 	rec  int   // records returned so far
-	hdr  [frameHeaderSize]byte
-	buf  []byte
+	// blk holds the file's bytes [blkOff, blkOff+len(blk)).
+	blk    []byte
+	blkOff int64
 }
 
 // OpenReader opens a cursor at the first record of the WAL file at path.
@@ -48,7 +58,8 @@ func OpenReader(fsys vfs.FS, path string) (*Reader, error) {
 // CRC-valid frame is available at the current position — either the live
 // tail (the writer has not finished the next frame yet; poll again later)
 // or a torn/corrupt tail (if the file is sealed, nothing more is coming).
-// The returned payload is only valid until the next call to Next or Skip.
+// The returned payload is only valid until the next call to Next, Skip or
+// Refresh.
 func (r *Reader) Next() (payload []byte, ok bool, err error) {
 	payload, short, err := r.frame()
 	if short {
@@ -62,6 +73,8 @@ func (r *Reader) Next() (payload []byte, ok bool, err error) {
 			return nil, false, nil
 		}
 		r.size = st.Size()
+		// The block may hold the partial frame as it was then.
+		r.Refresh()
 		payload, _, err = r.frame()
 	}
 	return payload, payload != nil, err
@@ -71,37 +84,65 @@ func (r *Reader) Next() (payload []byte, ok bool, err error) {
 // when it is intact, advances past it and returns its payload. short
 // reports a header or body that runs past the cached size. A nil payload
 // that is not short is a corrupt frame: an absurd length field or a CRC
-// mismatch. Allocation is capped by the file size, so a corrupt length
-// can never force an over-allocation.
+// mismatch. A frame is only read once it fits the cached size, and reads
+// never go past it, so a corrupt length can never force an allocation
+// larger than the file.
 func (r *Reader) frame() (payload []byte, short bool, err error) {
 	remaining := r.size - r.off
 	if remaining < frameHeaderSize {
 		return nil, true, nil
 	}
-	if _, err := r.f.ReadAt(r.hdr[:], r.off); err != nil {
+	hdr, err := r.window(frameHeaderSize)
+	if err != nil {
 		return nil, false, fmt.Errorf("wal: read frame header %s: %w", r.path, err)
 	}
-	n := int64(binary.LittleEndian.Uint32(r.hdr[0:4]))
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	if n == 0 || n > maxPayload {
 		return nil, false, nil
 	}
 	if n > remaining-frameHeaderSize {
 		return nil, true, nil
 	}
-	if int64(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := r.f.ReadAt(r.buf, r.off+frameHeaderSize); err != nil {
+	fr, err := r.window(frameHeaderSize + n)
+	if err != nil {
 		return nil, false, fmt.Errorf("wal: read frame payload %s: %w", r.path, err)
 	}
-	if frameCRC([4]byte(r.hdr[0:4]), r.buf) != binary.LittleEndian.Uint32(r.hdr[4:8]) {
+	payload = fr[frameHeaderSize:]
+	if frameCRC([4]byte(fr[0:4]), payload) != binary.LittleEndian.Uint32(fr[4:8]) {
 		return nil, false, nil
 	}
 	r.off += frameHeaderSize + n
 	r.rec++
-	return r.buf, false, nil
+	return payload, false, nil
 }
+
+// window returns the n file bytes at the cursor (n <= size-off): from the
+// block when it holds them, else by refilling the block from the cursor
+// with one read of max(n, readAhead) bytes, capped at the cached size.
+func (r *Reader) window(n int64) ([]byte, error) {
+	if lo := r.off - r.blkOff; lo >= 0 && lo+n <= int64(len(r.blk)) {
+		return r.blk[lo : lo+n], nil
+	}
+	want := min(max(n, readAhead), r.size-r.off)
+	if int64(cap(r.blk)) < want {
+		r.blk = make([]byte, want)
+	}
+	got, err := r.f.ReadAt(r.blk[:want], r.off)
+	if err != nil && !(errors.Is(err, io.EOF) && int64(got) >= n) {
+		r.blk = r.blk[:0]
+		return nil, err
+	}
+	r.blk, r.blkOff = r.blk[:got], r.off
+	return r.blk[:n], nil
+}
+
+// Refresh forgets the bytes read ahead, so the next record is read from
+// the file again. Bytes past the last record a writer acknowledged are
+// not final: a writer recovering from a failed sync truncates frames it
+// never acknowledged and writes new ones in their place. A caller tailing
+// a live log therefore calls Refresh before each round of reading records
+// acknowledged since the last round.
+func (r *Reader) Refresh() { r.blk = r.blk[:0] }
 
 // each calls fn (when non-nil) for every intact record ahead of the
 // cursor, stopping cleanly at the first torn, corrupt or unwritten frame,

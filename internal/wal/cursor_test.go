@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/vfs"
@@ -145,5 +147,105 @@ func TestReaderSkip(t *testing.T) {
 	defer r2.Close()
 	if err := r2.Skip(4); err == nil {
 		t.Fatal("Skip past end of log succeeded")
+	}
+}
+
+// readAts counts the ReadAt operations ffs has seen.
+func readAts(ffs *vfs.FaultFS) int {
+	n := 0
+	for _, line := range ffs.Trace() {
+		if strings.HasPrefix(line, vfs.OpReadAt.String()+" ") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReaderFramesStraddleBlocks: frames that cross the end of a
+// read-ahead block, and one larger than a block, decode intact, and the
+// file is read in about one ReadAt per block rather than two per record.
+func TestReaderFramesStraddleBlocks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	var want [][]byte
+	for i := 0; i < 150; i++ {
+		// 1000-byte payloads: frame boundaries fall at every offset
+		// class, so several frames straddle a 64 KiB block end.
+		want = append(want, bytes.Repeat([]byte{byte(i)}, 1000))
+	}
+	want = append(want, bytes.Repeat([]byte{0xAB}, 3*readAhead+17), []byte("after"))
+	appendAll(t, path, Options{Policy: SyncNever}, want...)
+
+	ffs := vfs.NewFaultFS(vfs.OS)
+	r, err := OpenReader(ffs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, w := range want {
+		p, ok, err := r.Next()
+		if err != nil || !ok {
+			t.Fatalf("Next #%d: ok=%v err=%v", i, ok, err)
+		}
+		if !bytes.Equal(p, w) {
+			t.Fatalf("record %d: %d bytes, want %d", i, len(p), len(w))
+		}
+	}
+	if _, ok, err := r.Next(); ok || err != nil {
+		t.Fatalf("Next past end: ok=%v err=%v", ok, err)
+	}
+	// 150 KB of small frames (3 blocks), the large frame (1 read), the
+	// last frame (1 read).
+	if reads := readAts(ffs); reads > 6 {
+		t.Fatalf("%d reads for %d records, want at most 6", reads, len(want))
+	}
+}
+
+// TestReaderRefreshRereadsRewrittenTail: bytes read ahead past the records
+// a caller consumed are served from the block until Refresh; after it the
+// next record is read from the file again, so a frame truncated and
+// rewritten in place (a writer's recovery) is seen as rewritten.
+func TestReaderRefreshRereadsRewrittenTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	appendAll(t, path, Options{Policy: SyncNever}, []byte("first"), []byte("old-2"))
+	r, err := OpenReader(vfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if p, ok, err := r.Next(); err != nil || !ok || string(p) != "first" {
+		t.Fatalf("Next = %q, %v, %v", p, ok, err)
+	}
+	if err := os.Truncate(path, r.Offset()); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, path, Options{Policy: SyncNever}, []byte("new-2"))
+	r.Refresh()
+	if p, ok, err := r.Next(); err != nil || !ok || string(p) != "new-2" {
+		t.Fatalf("Next after Refresh = %q, %v, %v", p, ok, err)
+	}
+}
+
+// TestReaderSurfacesReadError: a failing read is an error from Next, not
+// "no record yet", whether it hits the first block or a refill.
+func TestReaderSurfacesReadError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	big := bytes.Repeat([]byte{1}, readAhead)
+	appendAll(t, path, Options{Policy: SyncNever}, []byte("a"), big, []byte("b"))
+	for at, okBefore := range []int{0, 1} {
+		ffs := vfs.NewFaultFS(vfs.OS)
+		ffs.AddFault(vfs.Fault{Op: vfs.OpReadAt, At: at, Err: errors.New("injected EIO")})
+		r, err := OpenReader(ffs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < okBefore; i++ {
+			if _, ok, err := r.Next(); !ok || err != nil {
+				t.Fatalf("fault at read %d: record %d: ok=%v err=%v", at, i, ok, err)
+			}
+		}
+		if _, ok, err := r.Next(); ok || err == nil || !strings.Contains(err.Error(), "injected EIO") {
+			t.Fatalf("fault at read %d: Next = ok=%v err=%v, want the injected error", at, ok, err)
+		}
+		r.Close()
 	}
 }
