@@ -133,14 +133,23 @@ func appendGrow(dst Set, ix *seq.Index, I Set, e seq.EventID) Set {
 
 // singletonSet returns the leftmost support set of the size-1 pattern e:
 // simply every occurrence of e, in right-shift order (line 1 of
-// Algorithm 1 / line 3 of Algorithm 3).
+// Algorithm 1 / line 3 of Algorithm 3). It serves one-pattern support
+// queries, so it scans the sequences rather than building the index's
+// per-event lists of every event (one allocation and Σ distinct events
+// of work) to answer for one.
 func singletonSet(ix *seq.Index, e seq.EventID) Set {
-	return appendSingleton(make(Set, 0, ix.SingletonSupport(e)), ix, e)
+	out := make(Set, 0, ix.SingletonSupport(e))
+	for i := 0; i < ix.DB().NumSequences(); i++ {
+		for _, pos := range ix.Positions(i, e) {
+			out = append(out, Inst{Seq: int32(i), First: pos, Last: pos})
+		}
+	}
+	return out
 }
 
 // appendSingleton appends every occurrence of e to dst, in right-shift
-// order — singletonSet over a caller-owned (arena) buffer. It visits only
-// the sequences that contain e (the index's per-event sequence list).
+// order, for the miners, which seed many size-1 patterns: it visits only
+// the sequences that contain e (the index's per-event sequence lists).
 func appendSingleton(dst Set, ix *seq.Index, e seq.EventID) Set {
 	return appendSingletonIn(dst, ix, e, ix.SequencesOf(e))
 }

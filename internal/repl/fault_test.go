@@ -1,9 +1,14 @@
 package repl
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -164,7 +169,7 @@ func encodeTestBatch(t *testing.T, records []store.Record) []byte {
 	}
 	r := store.NewChainReader(vfs.OS, dir, 2)
 	defer r.Close()
-	payload, ok, err := r.Next()
+	payload, ok, err := r.Next(st.Current().Generation())
 	if err != nil || !ok {
 		t.Fatalf("read batch back: ok=%v err=%v", ok, err)
 	}
@@ -215,6 +220,118 @@ func TestFollowerLocalDiskFaultHeals(t *testing.T) {
 	fs, ps := f.store().Current(), p.st.Current()
 	if !reflect.DeepEqual(fs.DB().Seqs, ps.DB().Seqs) {
 		t.Fatal("follower diverged after disk fault heal")
+	}
+}
+
+// TestFeedSendsRecordRewrittenByHeal: the feed reads the primary's WAL in
+// blocks, so a block can hold a complete frame the primary never
+// acknowledged (its write landed, its fsync failed). The primary's heal
+// truncates that frame and the next append writes a different record in
+// its place; the feed must stream the new record, not the stale frame it
+// read ahead.
+func TestFeedSendsRecordRewrittenByHeal(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(vfs.OS)
+	st, err := store.Open(dir, store.Options{
+		SyncPolicy: wal.SyncAlways, FS: ffs, CheckpointWALBytes: -1,
+		ProbeBackoff: time.Millisecond, ProbeBackoffMax: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	first := []store.Record{{Label: "acked", Events: []string{"a"}}}
+	if _, err := st.Append(first, true); err != nil {
+		t.Fatal(err)
+	}
+	acked := st.Current().Generation()
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal-0000000000000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := walSize()
+	// Every sync fails until the faults are cleared: the append's frame
+	// stays on disk unacknowledged, and the heal's disk probe fails too.
+	// The two records have equal-length frames, so the file size does
+	// not change either.
+	dropped := []store.Record{{Label: "old", Events: []string{"x"}}}
+	healed := []store.Record{{Label: "new", Events: []string{"y"}}}
+	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, At: -1, Err: syscall.EIO})
+	if _, err := st.Append(dropped, true); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	if walSize() <= before || st.Current().Generation() != acked {
+		t.Fatal("the unacknowledged frame is not on disk; the test proves nothing")
+	}
+
+	src := &storeSource{st: st, dir: dir, epoch: "e"}
+	feed := &Feed{Src: src, Poll: time.Millisecond, Heartbeat: 20 * time.Millisecond}
+	srv := httptest.NewServer(http.HandlerFunc(feed.ServeWAL))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"?from=1,0&epoch=e", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var buf []byte
+	// nextRecord reads frames until a record frame.
+	nextRecord := func() (gen uint64, payload []byte) {
+		t.Helper()
+		for {
+			fr, err := readFrame(br, &buf)
+			if err != nil {
+				t.Fatalf("feed stream: %v", err)
+			}
+			if fr.typ == FrameRecord {
+				return fr.gen, fr.payload
+			}
+		}
+	}
+	if gen, p := nextRecord(); gen != acked || !bytes.Equal(p, encodeTestBatch(t, first)) {
+		t.Fatalf("first record: generation %d %q, want %d", gen, p, acked)
+	}
+	// Wait for a heartbeat: the feed has finished its round, holding the
+	// unacknowledged frame in its read-ahead block.
+	for {
+		fr, err := readFrame(br, &buf)
+		if err != nil {
+			t.Fatalf("feed stream: %v", err)
+		}
+		if fr.typ == FrameHeartbeat {
+			break
+		}
+		t.Fatalf("frame type %d before the heal, want a heartbeat", fr.typ)
+	}
+
+	ffs.ClearFaults()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := st.Append(healed, true)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, store.ErrDegraded) || time.Now().After(deadline) {
+			t.Fatalf("append after clearing the fault: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gen, p := nextRecord()
+	if bytes.Equal(p, encodeTestBatch(t, dropped)) {
+		t.Fatalf("generation %d: the feed sent the frame the heal dropped", gen)
+	}
+	if gen != acked+1 || !bytes.Equal(p, encodeTestBatch(t, healed)) {
+		t.Fatalf("record after the heal: generation %d %q, want %d", gen, p, acked+1)
 	}
 }
 

@@ -171,13 +171,10 @@ func (f *Feed) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Stream everything acknowledged and not yet sent. A record not
-		// yet visible is retried at the next poll. Bytes read ahead in an
-		// earlier round may belong to unacknowledged frames a heal has
-		// since rewritten, so each round reads the file afresh.
-		chain.Refresh()
+		// yet visible is retried at the next poll.
 		sent := false
 		for cur := f.Src.Generation(); applied < cur; {
-			p, ok, err := chain.Next()
+			p, ok, err := chain.Next(cur)
 			if errors.Is(err, store.ErrChainGap) {
 				// The retained chain cannot serve the position (swept by a
 				// checkpoint, or broken): the follower must re-bootstrap.

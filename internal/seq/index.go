@@ -34,15 +34,11 @@ const DefaultFastNextMemBudget int64 = 256 << 20
 // contiguous header instead of chasing parallel slice-of-slices.
 type seqTab struct {
 	// events lists the distinct events of the sequence in ascending
-	// EventID order; list(k), last[k] and count[k] are the ascending
+	// EventID order; lists[k], last[k] and count[k] are the ascending
 	// 1-based positions, the largest position, and the occurrence count
-	// of events[k]. lists starts with len(events)+1 offsets into itself,
-	// followed by every position list: events[k]'s positions are
-	// lists[lists[k]:lists[k+1]]. last, count and lists share one backing
-	// array. (One slice for offsets and positions keeps the header small:
-	// Extend copies one header per sequence.)
+	// of events[k].
 	events []EventID
-	lists  []int32
+	lists  [][]int32
 	last   []int32
 	count  []int32
 	// slot maps an EventID to its index in events, or -1.
@@ -141,28 +137,26 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 	for k, e := range evs {
 		slot[e] = int32(k)
 	}
-	// One backing array holds the last, count and offset columns and
-	// every position list, so a sequence costs a fixed handful of
-	// allocations however many distinct events it has.
-	n := len(evs)
-	buf := make([]int32, 3*n+1+len(s))
-	last, count, lists := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	// One backing array holds the last and count columns and every
+	// position list, so a sequence costs a fixed handful of allocations
+	// however many distinct events it has.
+	buf := make([]int32, 2*len(evs)+len(s))
+	last, count, positions := buf[:len(evs):len(evs)], buf[len(evs):2*len(evs):2*len(evs)], buf[2*len(evs):]
 	for _, e := range s {
 		count[slot[e]]++
 	}
-	lists[0] = int32(n + 1)
+	lists := make([][]int32, len(evs))
+	off := int32(0)
 	for k, c := range count {
-		lists[k+1] = lists[k] + c
+		lists[k] = positions[off : off : off+c]
+		off += c
 	}
-	next := last // write cursors; last is filled in after
-	copy(next, lists[:n])
-	for p, e := range s {
+	for pos, e := range s {
 		k := slot[e]
-		lists[next[k]] = int32(p + 1)
-		next[k]++
+		lists[k] = append(lists[k], int32(pos+1))
 	}
-	for k := range last {
-		last[k] = lists[lists[k+1]-1]
+	for k, list := range lists {
+		last[k] = list[len(list)-1]
 	}
 	t.events = evs
 	t.lists = lists
@@ -174,17 +168,10 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 	if ix.opt.FastNext {
 		bytes := int64(len(evs)) * int64(len(s)+1) * 4
 		if budget := ix.fastNextBudget(); budget < 0 || ix.succBytes+bytes <= budget {
-			t.succ = buildSuccTable(len(s), t)
+			t.succ = buildSuccTable(len(s), lists)
 			ix.succBytes += bytes
 		}
 	}
-}
-
-// list returns the ascending positions of events[k], capacity-clipped so
-// an append can never write into the next event's list.
-func (t *seqTab) list(k int32) []int32 {
-	lo, hi := t.lists[k], t.lists[k+1]
-	return t.lists[lo:hi:hi]
 }
 
 // Extend builds the index of db incrementally from ix: the work is the
@@ -249,11 +236,10 @@ func (ix *Index) MiningIndex() *Index { return ix }
 // buildSuccTable fills the column-major successor matrix for one sequence:
 // for each distinct-event slot k and position p in [0, seqLen], the smallest
 // listed position > p, or -1. O(K·L) time.
-func buildSuccTable(seqLen int, t *seqTab) []int32 {
+func buildSuccTable(seqLen int, lists [][]int32) []int32 {
 	rows := seqLen + 1
-	succ := make([]int32, len(t.events)*rows)
-	for k := range t.events {
-		list := t.list(int32(k))
+	succ := make([]int32, len(lists)*rows)
+	for k, list := range lists {
 		col := succ[k*rows : (k+1)*rows]
 		ptr := len(list) - 1
 		next := int32(-1)
@@ -301,7 +287,7 @@ func (ix *Index) Next(i int, e EventID, lowest int32) int32 {
 		}
 		return t.succ[k*t.rows+lowest]
 	}
-	list := t.list(k)
+	list := t.lists[k]
 	// Binary search for the first element > lowest.
 	lo, hi := 0, len(list)
 	for lo < hi {
@@ -350,7 +336,7 @@ func (ix *Index) Positions(i int, e EventID) []int32 {
 	if k < 0 {
 		return nil
 	}
-	return t.list(k)
+	return t.lists[k]
 }
 
 // SequencesOf returns the ascending indices of the sequences that contain

@@ -180,6 +180,9 @@ type ChainReader struct {
 	next uint64      // generation the next record produces
 	rd   *wal.Reader // the chain file being read; nil until resolved
 	base uint64      // base of rd's file
+	// through is the acknowledged generation of the last Next call; rd's
+	// read-ahead block was read while it held.
+	through uint64
 }
 
 // NewChainReader returns a reader positioned at the record of dir's WAL
@@ -189,11 +192,28 @@ func NewChainReader(fsys vfs.FS, dir string, next uint64) *ChainReader {
 }
 
 // Next returns the record that produces the reader's next generation and
-// advances past it. ok is false when that record is not visible yet: the
-// live tail, or a checkpoint sweeping the file between listing and open;
-// poll again. An error wrapping ErrChainGap means the directory cannot
-// serve the position at all.
-func (c *ChainReader) Next() (payload []byte, ok bool, err error) {
+// advances past it, provided that generation is at most through, the
+// last one the writer has acknowledged. ok is false past through, and
+// when the record is not visible yet: the live tail, or a checkpoint
+// sweeping the file between listing and open; poll again. An error
+// wrapping ErrChainGap means the directory cannot serve the position at
+// all.
+//
+// Bytes past the acknowledged records are not final: a writer recovering
+// from a failed sync truncates the frames it never acknowledged and
+// writes new ones in their place. So whenever through moves, the reader
+// forgets what it read ahead and reads the file afresh; a block read
+// while through was unchanged is trusted only up to through.
+func (c *ChainReader) Next(through uint64) (payload []byte, ok bool, err error) {
+	if through != c.through {
+		c.through = through
+		if c.rd != nil {
+			c.rd.Refresh()
+		}
+	}
+	if c.next > through {
+		return nil, false, nil
+	}
 	for {
 		if c.rd != nil {
 			p, ok, err := c.rd.Next()
@@ -265,15 +285,6 @@ func (c *ChainReader) Pending() (uint64, error) {
 		}
 	}
 	return n, nil
-}
-
-// Refresh drops the bytes read ahead of the reader's position (see
-// wal.Reader.Refresh). A reader tailing a live chain calls it before each
-// round of reading the records acknowledged since the last round.
-func (c *ChainReader) Refresh() {
-	if c.rd != nil {
-		c.rd.Refresh()
-	}
 }
 
 // Close releases the file the reader holds open.

@@ -88,9 +88,9 @@ func TestChainReaderSeesGrowthBetweenPolls(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			mustAppend(t, st, []Record{{Label: fmt.Sprint("r", round, "-", i), Events: []string{"a", "b"}}}, false)
 		}
-		c.Refresh()
+		through := st.Current().Generation()
 		for i := 0; i < 200; i++ {
-			p, ok, err := c.Next()
+			p, ok, err := c.Next(through)
 			if !ok || err != nil {
 				t.Fatalf("round %d record %d: ok=%v err=%v", round, i, ok, err)
 			}
@@ -100,7 +100,7 @@ func TestChainReaderSeesGrowthBetweenPolls(t *testing.T) {
 				t.Fatalf("round %d record %d: %v %v", round, i, recs, err)
 			}
 		}
-		if _, ok, err := c.Next(); ok || err != nil {
+		if _, ok, err := c.Next(through + 1); ok || err != nil {
 			t.Fatalf("round %d past the tail: ok=%v err=%v", round, ok, err)
 		}
 	}
@@ -125,12 +125,13 @@ func TestChainReaderStatsOnce(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS)
 	c := NewChainReader(ffs, dir, 2)
 	defer c.Close()
+	through := st.Current().Generation()
 	for i := 0; i < n; i++ {
-		if _, ok, err := c.Next(); !ok || err != nil {
+		if _, ok, err := c.Next(through); !ok || err != nil {
 			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if _, ok, err := c.Next(); ok || err != nil {
+	if _, ok, err := c.Next(through + 1); ok || err != nil {
 		t.Fatalf("past the tail: ok=%v err=%v", ok, err)
 	}
 	if stats := countOps(ffs, vfs.OpStat, "wal-"); stats > 2 {

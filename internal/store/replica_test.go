@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"syscall"
@@ -35,11 +36,12 @@ func replicateDir(t *testing.T, primaryDir, followerDir string, opt Options) *St
 	}
 	f.SetFollower()
 
-	// Tail the primary's chain from the follower's position.
+	// Tail the primary's chain from the follower's position. The primary
+	// is closed, so every record on disk is acknowledged.
 	c := NewChainReader(vfs.OS, primaryDir, f.Current().Generation()+1)
 	defer c.Close()
 	for {
-		p, ok, err := c.Next()
+		p, ok, err := c.Next(math.MaxUint64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func TestChainWALFileResolution(t *testing.T) {
 	// Generation 6 is record 1 of the WAL based at 5.
 	c := NewChainReader(vfs.OS, dir, 6)
 	defer c.Close()
-	p, ok, err := c.Next()
+	p, ok, err := c.Next(st.Current().Generation())
 	if err != nil || !ok {
 		t.Fatalf("chain read of generation 6: ok=%v err=%v", ok, err)
 	}
@@ -221,7 +223,7 @@ func TestChainWALFileResolution(t *testing.T) {
 	// Generation 5 predates the retained chain (swept by the checkpoint).
 	swept := NewChainReader(vfs.OS, dir, 5)
 	defer swept.Close()
-	if _, ok, err := swept.Next(); ok || !errors.Is(err, ErrChainGap) {
+	if _, ok, err := swept.Next(st.Current().Generation()); ok || !errors.Is(err, ErrChainGap) {
 		t.Fatalf("swept position: ok=%v err=%v, want ErrChainGap", ok, err)
 	}
 }

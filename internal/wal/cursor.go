@@ -139,9 +139,9 @@ func (r *Reader) window(n int64) ([]byte, error) {
 // Refresh forgets the bytes read ahead, so the next record is read from
 // the file again. Bytes past the last record a writer acknowledged are
 // not final: a writer recovering from a failed sync truncates frames it
-// never acknowledged and writes new ones in their place. A caller tailing
-// a live log therefore calls Refresh before each round of reading records
-// acknowledged since the last round.
+// never acknowledged and writes new ones in their place, so a reader
+// tailing a live log refreshes whenever the writer acknowledges more
+// records (store.ChainReader does, on its own).
 func (r *Reader) Refresh() { r.blk = r.blk[:0] }
 
 // each calls fn (when non-nil) for every intact record ahead of the
